@@ -44,12 +44,13 @@ from repro.sim.results import (
 )
 from repro.sim.simulator import GatingMode, run_simulation
 from repro.uarch.config import design_by_name, design_for_suite
-from repro.workloads.suites import ALL_BENCHMARKS, KERNEL_BENCHMARKS, get_profile
+from repro.workloads.suites import ALL_BENCHMARKS, get_profile
 
 #: Version of the ``staticcheck --json`` payload shape.  Bump when keys
-#: move or change meaning; additive keys (like ``proofs``) don't require a
-#: bump, and consumers should pin on this rather than sniffing keys.
-STATICCHECK_JSON_SCHEMA = 1
+#: move, disappear or change meaning; additive keys (like ``proofs``) don't
+#: require a bump, and consumers should pin on this rather than sniffing
+#: keys.  v2: ``proofs`` entries lost ``content_hash``.
+STATICCHECK_JSON_SCHEMA = 2
 
 
 def _add_run_args(parser: argparse.ArgumentParser) -> None:
@@ -79,19 +80,6 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
         help="execution backend (default: fastpath); all backends are "
         "bit-identical, this only changes simulation speed",
     )
-    parser.add_argument(
-        "--proofs",
-        action="store_true",
-        help="attach a proof certificate (cached in the proof store); "
-        "inert — results are bit-identical — but unlocks walk-trace "
-        "memoization on certified-deterministic regions",
-    )
-
-
-def _proofs_for(profile):
-    from repro.staticcheck.proofs import ProofStore
-
-    return ProofStore().get_or_certify(profile)
 
 
 def _resolve_design(args):
@@ -116,7 +104,6 @@ def cmd_run(args) -> int:
     result = run_simulation(
         design, profile, mode, max_instructions=args.instructions,
         backend=args.backend,
-        proofs=_proofs_for(profile) if args.proofs else None,
     )
     if args.json:
         print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
@@ -140,11 +127,10 @@ def cmd_run(args) -> int:
 def cmd_compare(args) -> int:
     profile, design = _resolve_design(args)
     results = {}
-    proofs = _proofs_for(profile) if args.proofs else None
     for mode in (GatingMode.FULL, GatingMode.POWERCHOP, GatingMode.MINIMAL):
         results[mode] = run_simulation(
             design, profile, mode, max_instructions=args.instructions,
-            backend=args.backend, proofs=proofs,
+            backend=args.backend,
         )
     full = results[GatingMode.FULL]
     if args.json:
@@ -207,7 +193,6 @@ def cmd_sweep(args) -> int:
                     mode=mode,
                     max_instructions=args.instructions,
                     backend=args.backend,
-                    use_proofs=args.proofs,
                 )
             )
     if args.fabric:
@@ -414,12 +399,7 @@ def cmd_fabric_gc(args) -> int:
 def cmd_staticcheck(args) -> int:
     from repro.staticcheck import Severity, analyze_profile
 
-    # The kernel profiles sit outside the paper's 29-app study set but
-    # must stay staticcheck-clean (and are the profiles whose regions
-    # actually certify deterministic under --prove).
-    names = args.workload or [
-        p.name for p in ALL_BENCHMARKS + KERNEL_BENCHMARKS
-    ]
+    names = args.workload or [p.name for p in ALL_BENCHMARKS]
     analyses = [analyze_profile(get_profile(name)) for name in names]
     n_errors = sum(a.n_errors for a in analyses)
     n_warnings = sum(a.n_warnings for a in analyses)
@@ -427,7 +407,7 @@ def cmd_staticcheck(args) -> int:
 
     reports = []
     if args.prove:
-        from repro.staticcheck import certify_workload
+        from repro.staticcheck.proofs import certify_workload
 
         # The proof pass never *fails* a healthy profile: a certificate
         # always materializes, and a region that cannot be proved
@@ -613,12 +593,6 @@ def main(argv=None) -> int:
         choices=available_backends(),
         help="execution backend for every job (default: fastpath); "
         "results and cache keys are backend-independent",
-    )
-    sweep_parser.add_argument(
-        "--proofs",
-        action="store_true",
-        help="attach proof certificates to every job (inert; results and "
-        "cache keys are unchanged)",
     )
     sweep_parser.add_argument(
         "--fabric",

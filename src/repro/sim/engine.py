@@ -10,7 +10,8 @@ This is the single way to describe, instrument, run and cache simulations:
   worker function, so everything a job references must be picklable);
 - :func:`run_job` — execute with two cache layers: a per-process memo (so
   repeated calls return the *same* objects) and a persistent on-disk JSON
-  :class:`ResultCache` keyed by job hash plus schema/code version;
+  :class:`ResultCache` keyed by job hash (salted with a fingerprint of
+  the package's sources; entries also carry the schema version);
 - :class:`SweepRunner` — run batches of jobs across a
   ``ProcessPoolExecutor`` (worker count from ``REPRO_JOBS``; results come
   back in job order regardless of completion order, bit-identical to the
@@ -28,6 +29,7 @@ crash isolation, progress streaming — lives in :mod:`repro.sim.fabric`.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -44,7 +46,6 @@ from repro.sim.backends import resolve_backend_name
 from repro.sim.probes import MetricsProbe, PhaseLogProbe, ProbeSpec, TraceProbe
 from repro.sim.results import SimulationResult
 from repro.sim.simulator import GatingMode, HybridSimulator
-from repro.staticcheck.proofs import ProofStore
 from repro.uarch.config import DesignPoint, design_for_suite
 from repro.workloads.profiles import BenchmarkProfile, build_workload
 from repro.workloads.suites import get_profile
@@ -74,8 +75,7 @@ __all__ = [
 #: counters in ``extra``.  v3: results gained the ``metrics`` registry
 #: snapshot (``repro.obs.metrics``, ``METRICS_SCHEMA_VERSION``) and jobs
 #: the ``obs_level`` field.  v4: jobs gained the ``backend`` field
-#: (excluded from the key — see ``NON_KEY_FIELDS``) and ``fastpath``
-#: became a deprecated alias for it.
+#: (excluded from the key — see ``NON_KEY_FIELDS``).
 CACHE_SCHEMA_VERSION = 4
 
 #: Schema-version migration hooks: ``{from_version: fn(payload) -> payload}``.
@@ -100,35 +100,40 @@ def register_schema_migration(
 
     return _register
 
-#: Job fields deliberately EXCLUDED from :meth:`SimJob.key`.  Two kinds of
-#: member:
+#: Job fields deliberately EXCLUDED from :meth:`SimJob.key`:
 #:
-#: - ``backend`` / ``fastpath``: every execution backend is bit-identical
-#:   to the reference loop (enforced by tests/test_backends.py), so runs
-#:   that differ only in backend produce the same result and may share
-#:   cache entries;
+#: - ``backend``: every execution backend is bit-identical to the
+#:   reference loop (enforced by tests/test_backends.py), so runs that
+#:   differ only in backend produce the same result and may share cache
+#:   entries;
 #: - ``configure``: an opaque callable that cannot be content-hashed; its
 #:   effect is represented in the key by the mandatory ``cache_tag``
-#:   instead (enforced in ``__post_init__``);
-#: - ``use_proofs``: proof certificates are *inert* — a run with a
-#:   certificate attached is bit-identical to one without (enforced by
-#:   tests/test_proofs.py), so jobs that differ only in ``use_proofs``
-#:   share cache entries.
+#:   instead (enforced in ``__post_init__``).
 #:
 #: Adding a field to SimJob?  It must appear either in ``key()`` or here —
 #: tests/test_backends.py cross-checks the split is exhaustive.
-NON_KEY_FIELDS = frozenset({"backend", "fastpath", "configure", "use_proofs"})
+NON_KEY_FIELDS = frozenset({"backend", "configure"})
 
 _MANAGED_UNITS = ("vpu", "bpu", "mlc")
 
 
-def _code_version() -> str:
-    # Imported lazily: repro/__init__ imports repro.sim, which imports this
-    # module, so a top-level ``from repro import __version__`` would run
-    # against the half-initialised package.
-    from repro import __version__
+@functools.lru_cache(maxsize=None)
+def _code_fingerprint() -> str:
+    """SHA-256 over the sorted ``(relative path, bytes)`` of the package's sources.
 
-    return __version__
+    Salts :meth:`SimJob.key`, so a cached result is only ever replayed by
+    the code that produced it.  Computed once per process, on first use:
+    commands that never build a key never read the sources.
+    """
+    root = Path(__file__).resolve().parents[1]
+    digest = hashlib.sha256()
+    for rel, path in sorted(
+        (path.relative_to(root).as_posix(), path) for path in root.rglob("*.py")
+    ):
+        data = path.read_bytes()
+        digest.update(f"{rel}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
 
 
 # ------------------------------------------------------------------- jobs
@@ -166,15 +171,6 @@ class SimJob:
     #: None = the registry default).  In ``NON_KEY_FIELDS``: backends are
     #: bit-identical, so results are backend-independent.
     backend: Optional[str] = None
-    #: Deprecated boolean spelling of ``backend`` (True → "fastpath",
-    #: False → "reference"); also in ``NON_KEY_FIELDS``.
-    fastpath: Optional[bool] = None
-    #: Attach a proof certificate (``repro.staticcheck.proofs``) to the
-    #: run: fetched from the :class:`ProofStore` (or freshly certified),
-    #: fingerprint-validated against the built workload, and consumed by
-    #: the vectorized backend for walk-trace memoization.  Inert — results
-    #: are bit-identical either way — so also in ``NON_KEY_FIELDS``.
-    use_proofs: bool = False
     configure: Optional[Callable[[HybridSimulator], None]] = None
     cache_tag: str = ""
 
@@ -194,9 +190,9 @@ class SimJob:
             raise ValueError(
                 f"obs_level must be one of {OBS_LEVELS}, got {self.obs_level!r}"
             )
-        # Validates the name and rejects conflicting backend/fastpath
-        # settings at job-construction time rather than inside a worker.
-        resolve_backend_name(self.backend, self.fastpath)
+        # Validates the name at job-construction time rather than inside
+        # a worker.
+        resolve_backend_name(self.backend)
         if self.configure is not None and not self.cache_tag:
             raise ValueError(
                 "a configure callback requires a non-empty cache_tag: the "
@@ -257,14 +253,15 @@ class SimJob:
         values, which makes them a canonical text form for hashing.  Every
         field participates except the documented ``NON_KEY_FIELDS`` (the
         ``configure`` callback is represented by ``cache_tag``, enforced
-        non-empty above); the code version salts the hash so old cache
-        entries never alias new semantics.  The cache *schema* version is
-        deliberately not in the key: entries carry it in-file instead, so
-        a schema bump with a registered :data:`SCHEMA_MIGRATIONS` hook
-        keeps old entries readable under the same key.
+        non-empty above); the package's source fingerprint salts the hash
+        so results cached by other code never alias this code's.  The
+        cache *schema* version is deliberately not in the key: entries
+        carry it in-file instead, so a schema bump with a registered
+        :data:`SCHEMA_MIGRATIONS` hook keeps old entries readable under
+        the same key.
         """
         parts = (
-            f"version={_code_version()}",
+            f"code={_code_fingerprint()}",
             f"benchmark={self.benchmark}",
             f"profile={self.profile!r}",
             f"design={self.design!r}",
@@ -320,14 +317,6 @@ def execute_job(job: SimJob) -> JobRecord:
     profile = job.resolve_profile()
     design = job.resolve_design(profile)
     workload = build_workload(profile, job.seed)
-    proofs = None
-    if job.use_proofs:
-        # The store revalidates any cached certificate against the freshly
-        # built workload's fingerprint and re-certifies on mismatch, so a
-        # stale certificate can never reach the simulator from here.
-        proofs = ProofStore().get_or_certify(
-            profile, workload=workload, seed=job.seed
-        )
     simulator = HybridSimulator(
         design,
         workload,
@@ -335,9 +324,7 @@ def execute_job(job: SimJob) -> JobRecord:
         powerchop_config=job.resolve_config(),
         timeout_cycles=job.timeout_cycles,
         obs_level=job.resolve_obs_level(),
-        fastpath=job.fastpath,
         backend=job.backend,
-        proofs=proofs,
     )
     if job.configure is not None:
         job.configure(simulator)
@@ -472,7 +459,7 @@ class ResultCache:
             return
         payload = {
             "schema": CACHE_SCHEMA_VERSION,
-            "version": _code_version(),
+            "version": _code_fingerprint(),
             "result": record.result.to_dict(),
             "phase_log": [
                 [list(signature), vector] for signature, vector in record.phase_log

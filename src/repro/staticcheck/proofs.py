@@ -1,52 +1,34 @@
-"""Proof certificates: certified region/stream properties for the runtime.
+"""Proof pass: what a workload's structure certifies, as an offline report.
 
-The fourth staticcheck pass.  Where passes 1-3 diagnose and summarize, this
-pass *certifies*: an abstract interpretation over a workload's CFGs, branch
-models, and address-stream specs emits a versioned, content-hashed
-:class:`ProfileCertificate` whose facts the vectorized backend consumes
-instead of re-deriving them per run:
+The fourth staticcheck pass (``python -m repro staticcheck --prove``).
+Where passes 1-3 diagnose and summarize, this pass *certifies*: an abstract
+interpretation over a workload's CFGs, branch models, and address-stream
+specs yields a :class:`ProfileCertificate` whose :meth:`~ProfileCertificate.report`
+says which facts hold and, where they do not, exactly why:
 
 - :class:`RegionProof` — classifies every reachable branch model on the
   outcome lattice ``closed_form < buffered_stochastic < history_coupled <
   opaque``.  A region whose reachable branches are all closed-form
   (:class:`~repro.isa.branches.LoopBranch` /
   :class:`~repro.isa.branches.PatternBranch`) is **deterministic**: its walk
-  trace is a pure function of the entry block and the branch-phase vector,
-  which licenses the backend's walk-trace memo (record each pass-A chunk
-  once per phase state, replay as bulk list/int operations thereafter).
+  trace is a pure function of the entry block and the branch-phase vector.
 - :class:`StreamProof` — per-phase address bounds: every stream lives in
-  its own ``_PHASE_SLOT``-aligned slot and its span stays inside the slot.
-  From those certified bounds the backend derives phase-slot
-  line-disjointness (for any line size dividing the slot size) and the
-  MLC-occupancy bound arithmetically, subsuming the per-run
-  ``bases_disjoint`` scan.
-- :class:`WindowProof` — idle-window safety preconditions for cross-window
-  burst replay: a bound on the distinct translation heads the schedule can
-  ever expose.  When the bound fits the HTB, hot-table overflow is
-  impossible, so memoized chunks that insert HTB entries replay safely and
-  the replay-time capacity check is certified away.
+  its own ``_PHASE_SLOT``-aligned slot and its span stays inside the slot,
+  so the phases' address ranges are pairwise disjoint and line-aligned for
+  any line size dividing the slot size.
+- :class:`WindowProof` — a bound on the distinct translation heads the
+  schedule can ever expose; when it fits the HTB, hot-table overflow is
+  impossible.
 
-Certificates are *advisory*: the backend validates each one against the
-live workload (content fingerprints over block structure, branch-model
-parameters, and stream geometry) and falls back to the existing runtime
-checks whenever validation fails, so behaviour is bit-identical with
-proofs on, off, or stale.
-
-:class:`ProofStore` persists certificates on disk, keyed like the engine's
-result cache (schema + package version salted, ``REPRO_CACHE_DIR`` rooted,
-``REPRO_CACHE=0`` disabled); ``python -m repro staticcheck --prove`` builds
-and reports them for every profile.
+Certificates are a report only: no simulation consumes them.  The
+vectorized backend derives the facts it needs (phase-slot disjointness,
+MLC occupancy) from the live workload on every run.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 import zlib
-from dataclasses import dataclass, field
-from math import lcm
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
 from repro.isa.blocks import CodeRegion
@@ -62,40 +44,23 @@ from repro.workloads.generator import _PHASE_SLOT, SyntheticWorkload
 from repro.workloads.profiles import BenchmarkProfile, build_workload
 
 __all__ = [
-    "PROOF_SCHEMA_VERSION",
     "RegionProof",
     "StreamProof",
     "WindowProof",
     "ProfileCertificate",
-    "ProofStore",
     "classify_model",
-    "fingerprint_region",
-    "fingerprint_workload",
     "prove_region",
+    "stream_slots",
     "prove_streams",
     "prove_window",
     "certify_workload",
 ]
-
-#: Bump when certificate structure or proof semantics change; stale stored
-#: certificates self-invalidate (the store treats them as misses).
-PROOF_SCHEMA_VERSION = 1
 
 #: Outcome-closed-form classes, weakest knowledge last.
 CLOSED_FORM = "closed_form"
 BUFFERED = "buffered_stochastic"
 HISTORY_COUPLED = "history_coupled"
 OPAQUE = "opaque"
-
-#: Joint branch-phase periods beyond this are reported as unbounded: the
-#: walk-trace memo would never revisit a state within a realistic budget.
-_PERIOD_CAP = 1 << 20
-
-
-def _proof_code_version() -> str:
-    from repro import __version__
-
-    return __version__
 
 
 def classify_model(model) -> str:
@@ -115,50 +80,6 @@ def classify_model(model) -> str:
     return OPAQUE
 
 
-def _model_signature(model) -> tuple:
-    """Canonical, state-free description of a branch model's parameters."""
-    if model is None:
-        return ("none",)
-    tm = type(model)
-    if tm is LoopBranch:
-        return ("loop", model.period)
-    if tm is PatternBranch:
-        return ("pattern", tuple(int(b) for b in model.pattern))
-    if tm is RandomBranch:
-        return ("random", model.seed)
-    if tm is BiasedBranch:
-        return ("biased", model.p_taken, model.seed)
-    if tm is GlobalCorrelatedBranch:
-        return ("global", model.offsets, model.noise, model.invert, model.seed)
-    return ("opaque", tm.__name__)
-
-
-def fingerprint_region(region: CodeRegion) -> str:
-    """Content hash of a region's structure and branch-model parameters.
-
-    Covers exactly the facts region proofs depend on: block layout (pcs,
-    sizes, memory/vector mix), successor wiring, the entry block, and each
-    branch's model signature.  Mutating any of them — e.g. flipping a model
-    to :class:`BiasedBranch` after certification — changes the fingerprint,
-    so the stale certificate is rejected at validation time.
-    """
-    parts = [region.region_id, region.entry]
-    for block in region.blocks:
-        parts.append(
-            (
-                block.pc,
-                block.n_instr,
-                block.n_mem,
-                block.n_loads,
-                block.n_vec,
-                block.taken_succ,
-                block.fall_succ,
-                _model_signature(block.branch.model if block.branch else None),
-            )
-        )
-    return hashlib.sha256(repr(tuple(parts)).encode()).hexdigest()
-
-
 @dataclass(frozen=True)
 class RegionProof:
     """Determinism verdict for one region, with the evidence behind it."""
@@ -168,31 +89,6 @@ class RegionProof:
     deterministic: bool
     classes: Mapping[str, int]  # lattice class -> reachable branch count
     reasons: Tuple[str, ...]  # why not deterministic (empty when it is)
-    period_lcm: Optional[int]  # joint phase period bound; None if unbounded
-    fingerprint: str
-
-    def to_dict(self) -> dict:
-        return {
-            "phase": self.phase,
-            "region_id": self.region_id,
-            "deterministic": self.deterministic,
-            "classes": dict(self.classes),
-            "reasons": list(self.reasons),
-            "period_lcm": self.period_lcm,
-            "fingerprint": self.fingerprint,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RegionProof":
-        return cls(
-            phase=data["phase"],
-            region_id=int(data["region_id"]),
-            deterministic=bool(data["deterministic"]),
-            classes={str(k): int(v) for k, v in data["classes"].items()},
-            reasons=tuple(data["reasons"]),
-            period_lcm=data["period_lcm"],
-            fingerprint=data["fingerprint"],
-        )
 
 
 @dataclass(frozen=True)
@@ -201,33 +97,12 @@ class StreamProof:
 
     ``slots`` holds one ``(phase, base, span, pattern, stride, random_frac)``
     tuple per phase, in phase order.  ``slotted`` asserts the geometric
-    invariant the backend's disjointness fact follows from: base ``i`` is
-    exactly ``(i + 1) * _PHASE_SLOT`` and every span fits inside its slot —
-    therefore the phases' address ranges are pairwise disjoint and
-    line-aligned for *any* line size dividing the slot size.
+    invariant disjointness follows from: base ``i`` is exactly
+    ``(i + 1) * _PHASE_SLOT`` and every span fits inside its slot.
     """
 
     slots: Tuple[Tuple[str, int, int, str, int, float], ...]
     slotted: bool
-    any_stream_pattern: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "slots": [list(s) for s in self.slots],
-            "slotted": self.slotted,
-            "any_stream_pattern": self.any_stream_pattern,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "StreamProof":
-        return cls(
-            slots=tuple(
-                (str(n), int(b), int(s), str(p), int(st), float(rf))
-                for n, b, s, p, st, rf in data["slots"]
-            ),
-            slotted=bool(data["slotted"]),
-            any_stream_pattern=bool(data["any_stream_pattern"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -236,58 +111,33 @@ class WindowProof:
 
     ``head_bound`` is the number of distinct translation heads the schedule
     can ever expose (every block of every scheduled region, since any block
-    may head a translation).  A consumer whose HTB capacity is at least the
-    bound has a certificate that hot-table overflow is impossible, so
-    memoized walk chunks carrying HTB inserts replay safely across idle
-    window boundaries without a per-replay capacity check.
+    may head a translation).
     """
 
     head_bound: int
     n_regions: int
 
-    def to_dict(self) -> dict:
-        return {"head_bound": self.head_bound, "n_regions": self.n_regions}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "WindowProof":
-        return cls(head_bound=int(data["head_bound"]), n_regions=int(data["n_regions"]))
-
 
 def prove_region(phase: str, region: CodeRegion) -> RegionProof:
     """Abstractly interpret one region's branches into a determinism proof."""
-    reachable = reachable_blocks(region)
     classes: Dict[str, int] = {}
     reasons = []
-    periods = []
-    for idx in sorted(reachable):
+    for idx in sorted(reachable_blocks(region)):
         block = region.blocks[idx]
         if block.branch is None:
             continue
         cls_name = classify_model(block.branch.model)
         classes[cls_name] = classes.get(cls_name, 0) + 1
-        if cls_name == CLOSED_FORM:
-            model = block.branch.model
-            periods.append(
-                model.period if type(model) is LoopBranch else len(model.pattern)
-            )
-        else:
+        if cls_name != CLOSED_FORM:
             reasons.append(
                 f"block {idx}: {type(block.branch.model).__name__} is {cls_name}"
             )
-    deterministic = not reasons
-    period_lcm: Optional[int] = None
-    if deterministic and periods:
-        joint = lcm(*periods)
-        if joint <= _PERIOD_CAP:
-            period_lcm = joint
     return RegionProof(
         phase=phase,
         region_id=region.region_id,
-        deterministic=deterministic,
+        deterministic=not reasons,
         classes=classes,
         reasons=tuple(reasons),
-        period_lcm=period_lcm,
-        fingerprint=fingerprint_region(region),
     )
 
 
@@ -296,10 +146,8 @@ def stream_slots(
 ) -> Tuple[Tuple[str, int, int, str, int, float], ...]:
     """Live per-phase stream geometry, in phase order.
 
-    Shared between certification and runtime validation so the two sides
-    compare exactly the same facts.  Span mirrors the vectorized backend's
-    hoist: the stream limit for unbounded ``stream`` patterns, the working
-    set for bounded ones.
+    Span mirrors the vectorized backend's hoist: the stream limit for
+    unbounded ``stream`` patterns, the working set for bounded ones.
     """
     slots = []
     for name, idx in workload._phase_order.items():
@@ -332,11 +180,7 @@ def prove_streams(workload: SyntheticWorkload) -> StreamProof:
         base == (i + 1) * _PHASE_SLOT and 0 < span <= _PHASE_SLOT
         for i, (_, base, span, _, _, _) in enumerate(slots)
     )
-    return StreamProof(
-        slots=slots,
-        slotted=slotted,
-        any_stream_pattern=any(s[3] == "stream" for s in slots),
-    )
+    return StreamProof(slots=slots, slotted=slotted)
 
 
 def prove_window(workload: SyntheticWorkload) -> WindowProof:
@@ -347,24 +191,9 @@ def prove_window(workload: SyntheticWorkload) -> WindowProof:
     )
 
 
-def fingerprint_workload(workload: SyntheticWorkload) -> str:
-    """Content hash over everything any certificate fact depends on."""
-    parts = (
-        workload.name,
-        workload.seed,
-        tuple(workload.schedule),
-        tuple(
-            (name, fingerprint_region(workload.phases[name].region))
-            for name in workload._phase_order
-        ),
-        stream_slots(workload),
-    )
-    return hashlib.sha256(repr(parts).encode()).hexdigest()
-
-
 @dataclass(frozen=True)
 class ProfileCertificate:
-    """The versioned, content-hashed proof bundle for one profile build."""
+    """The proof bundle for one profile build."""
 
     benchmark: str
     suite: str
@@ -372,52 +201,10 @@ class ProfileCertificate:
     regions: Tuple[RegionProof, ...]
     stream: StreamProof
     window: WindowProof
-    workload_fingerprint: str
-    schema_version: int = PROOF_SCHEMA_VERSION
-    code_version: str = field(default_factory=_proof_code_version)
 
     @property
     def deterministic_regions(self) -> Tuple[RegionProof, ...]:
         return tuple(r for r in self.regions if r.deterministic)
-
-    def region_proof(self, region_id: int) -> Optional[RegionProof]:
-        for proof in self.regions:
-            if proof.region_id == region_id:
-                return proof
-        return None
-
-    @property
-    def content_hash(self) -> str:
-        return hashlib.sha256(
-            json.dumps(self.to_dict(), sort_keys=True).encode()
-        ).hexdigest()
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "code_version": self.code_version,
-            "benchmark": self.benchmark,
-            "suite": self.suite,
-            "seed": self.seed,
-            "regions": [r.to_dict() for r in self.regions],
-            "stream": self.stream.to_dict(),
-            "window": self.window.to_dict(),
-            "workload_fingerprint": self.workload_fingerprint,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ProfileCertificate":
-        return cls(
-            benchmark=data["benchmark"],
-            suite=data["suite"],
-            seed=int(data["seed"]),
-            regions=tuple(RegionProof.from_dict(r) for r in data["regions"]),
-            stream=StreamProof.from_dict(data["stream"]),
-            window=WindowProof.from_dict(data["window"]),
-            workload_fingerprint=data["workload_fingerprint"],
-            schema_version=int(data["schema_version"]),
-            code_version=data["code_version"],
-        )
 
     def report(self) -> dict:
         """Coverage summary for the CLI / CI proof-coverage artifact."""
@@ -426,7 +213,6 @@ class ProfileCertificate:
             "benchmark": self.benchmark,
             "suite": self.suite,
             "seed": self.seed,
-            "content_hash": self.content_hash,
             "regions": len(self.regions),
             "deterministic_regions": len(det),
             "deterministic_phases": [r.phase for r in det],
@@ -446,8 +232,7 @@ def certify_workload(
     """Run the proof pass over one profile build.
 
     Certification is read-only over the workload — it inspects model
-    parameters and stream geometry but performs no RNG draws — so it is
-    safe to certify the live workload a simulation is about to run.
+    parameters and stream geometry but performs no RNG draws.
     """
     if workload is None:
         workload = build_workload(profile, seed)
@@ -466,112 +251,4 @@ def certify_workload(
         regions=tuple(region_proofs),
         stream=prove_streams(workload),
         window=prove_window(workload),
-        workload_fingerprint=fingerprint_workload(workload),
     )
-
-
-class ProofStore:
-    """Persistent on-disk store of proof certificates, one file per key.
-
-    Keyed like the engine's result cache: the proof schema and package
-    versions salt the key, so certificates from older code self-invalidate;
-    the directory defaults to a ``proofs/`` subtree of ``REPRO_CACHE_DIR``
-    and ``REPRO_CACHE=0`` disables reads and writes.  Corrupt, mismatched,
-    or unreadable entries are misses.
-    """
-
-    def __init__(self, root: Optional[Path] = None, enabled: Optional[bool] = None):
-        if root is None:
-            root = (
-                Path(
-                    os.environ.get(
-                        "REPRO_CACHE_DIR",
-                        os.path.join(
-                            os.path.expanduser("~"), ".cache", "repro-powerchop"
-                        ),
-                    )
-                )
-                / "proofs"
-            )
-        self.root = Path(root)
-        if enabled is None:
-            enabled = os.environ.get("REPRO_CACHE", "1") != "0"
-        self.enabled = enabled
-        self.hits = 0
-        self.misses = 0
-
-    def key(self, benchmark: str, seed: int) -> str:
-        parts = (
-            f"proof-schema={PROOF_SCHEMA_VERSION}",
-            f"version={_proof_code_version()}",
-            f"benchmark={benchmark}",
-            f"seed={seed}",
-        )
-        return hashlib.sha256("|".join(parts).encode()).hexdigest()
-
-    def _path(self, key: str) -> Path:
-        return self.root / f"{key}.json"
-
-    def get(self, benchmark: str, seed: int) -> Optional[ProfileCertificate]:
-        if not self.enabled:
-            return None
-        try:
-            with open(self._path(self.key(benchmark, seed))) as handle:
-                data = json.load(handle)
-            if data.get("schema_version") != PROOF_SCHEMA_VERSION:
-                raise ValueError("proof schema mismatch")
-            if data.get("benchmark") != benchmark:
-                raise ValueError("benchmark mismatch")
-            cert = ProfileCertificate.from_dict(data)
-        except (OSError, ValueError, KeyError, TypeError):
-            self.misses += 1
-            return None
-        self.hits += 1
-        return cert
-
-    def put(self, cert: ProfileCertificate) -> None:
-        if not self.enabled:
-            return
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            path = self._path(self.key(cert.benchmark, cert.seed))
-            tmp = path.with_suffix(".tmp")
-            tmp.write_text(json.dumps(cert.to_dict(), indent=1, sort_keys=True))
-            os.replace(tmp, path)
-        except OSError:  # pragma: no cover - disk-full etc.; store is advisory
-            pass
-
-    def get_or_certify(
-        self,
-        profile: BenchmarkProfile,
-        workload: Optional[SyntheticWorkload] = None,
-        seed: Optional[int] = None,
-    ) -> ProfileCertificate:
-        """A valid certificate for ``profile``, from disk when possible.
-
-        A stored certificate is only returned when its workload fingerprint
-        matches the (given or freshly built) workload; anything else
-        re-certifies and rewrites the store.
-        """
-        resolved_seed = profile.seed if seed is None else seed
-        if workload is None:
-            workload = build_workload(profile, seed)
-        cached = self.get(profile.name, resolved_seed)
-        if cached is not None and (
-            cached.workload_fingerprint == fingerprint_workload(workload)
-        ):
-            return cached
-        cert = certify_workload(profile, workload=workload, seed=seed)
-        self.put(cert)
-        return cert
-
-    def clear(self) -> int:
-        removed = 0
-        if self.root.is_dir():
-            for path in self.root.glob("*.json"):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:  # pragma: no cover
-                    pass
-        return removed

@@ -149,6 +149,19 @@ class TestResultCache:
         )
         assert cache.get(tuned.key()) is None
 
+    def test_code_change_invalidates(self, monkeypatch):
+        # The key is salted with a fingerprint of the package's sources:
+        # a result cached by other code must never be replayed.
+        job = SimJob(benchmark="hmmer", max_instructions=60_000)
+        run_job(job, cache=ResultCache())
+        engine.clear_memo()
+        assert ResultCache().get(job.key()) is not None
+        real = engine._code_fingerprint()
+        monkeypatch.setattr(engine, "_code_fingerprint", lambda: "edited" + real)
+        assert ResultCache().get(job.key()) is None
+        monkeypatch.setattr(engine, "_code_fingerprint", lambda: real)
+        assert ResultCache().get(job.key()) is not None
+
     def test_corrupt_entry_is_a_miss(self):
         job = SimJob(benchmark="hmmer", max_instructions=60_000)
         cache = ResultCache()

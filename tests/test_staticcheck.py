@@ -251,7 +251,7 @@ class TestCLI:
 
         assert main(["staticcheck", "-w", "gobmk", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert STATICCHECK_JSON_SCHEMA == 1
+        assert STATICCHECK_JSON_SCHEMA == 2
         assert payload["schema_version"] == STATICCHECK_JSON_SCHEMA
         assert set(payload) == {
             "schema_version",
@@ -262,14 +262,27 @@ class TestCLI:
         }
 
     def test_prove_reports_certificates(self, capsys):
-        assert main(["staticcheck", "-w", "dgemm", "--prove", "--json"]) == 0
+        assert main(["staticcheck", "-w", "bzip2", "--prove", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is True
         (report,) = payload["proofs"]
-        assert report["benchmark"] == "dgemm"
-        assert report["deterministic_regions"] == report["regions"] > 0
+        assert set(report) == {
+            "benchmark",
+            "suite",
+            "seed",
+            "regions",
+            "deterministic_regions",
+            "deterministic_phases",
+            "non_deterministic_reasons",
+            "stream_slotted",
+            "window_head_bound",
+        }
+        assert report["benchmark"] == "bzip2"
+        assert report["regions"] > 0
+        assert report["deterministic_regions"] == 0
+        assert len(report["non_deterministic_reasons"]) == report["regions"]
+        assert all(report["non_deterministic_reasons"].values())
         assert report["stream_slotted"] is True
-        assert report["content_hash"]
 
     def test_prove_human_output_condenses_reasons(self, capsys):
         assert main(["staticcheck", "-w", "gobmk", "--prove"]) == 0
