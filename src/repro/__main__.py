@@ -15,16 +15,14 @@ Commands:
 - ``trace``       — run one benchmark with full observability and write a
   Chrome ``trace_event`` JSON (load it at https://ui.perfetto.dev), plus
   an optional per-unit gating timeline (``--timeline``).
-- ``fabric``      — the fault-tolerant job service (``repro.sim.fabric``):
-  ``submit`` runs a batch with retries/timeouts/crash isolation and
-  streams per-job status, ``status`` reports result-cache occupancy, and
-  ``gc`` evicts least-recently-used cache entries down to a size budget.
+- ``cache``       — the on-disk result cache: ``status`` reports occupancy,
+  budget and entry ages, and ``gc`` evicts least-recently-used entries
+  down to a size budget (or, with ``--clear``, deletes them all).
 
 ``run``, ``compare`` and ``sweep`` accept ``--json`` for machine-readable
 output; ``sweep`` accepts ``--jobs N`` (default: ``REPRO_JOBS``) to fan the
 batch across a process pool, with results cached on disk (see
-``REPRO_CACHE_DIR``), and ``--fabric`` to route the batch through the
-fault-tolerant scheduler instead of the plain ``SweepRunner``.
+``REPRO_CACHE_DIR``).
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ import sys
 
 from repro.analysis.report import format_table
 from repro.sim.backends import available_backends
-from repro.sim.engine import SimJob, SweepRunner, default_workers
+from repro.sim.engine import ResultCache, SimJob, SweepRunner, default_workers
 from repro.sim.results import (
     energy_reduction,
     leakage_reduction,
@@ -195,12 +193,7 @@ def cmd_sweep(args) -> int:
                     backend=args.backend,
                 )
             )
-    if args.fabric:
-        from repro.sim.fabric import FabricScheduler
-
-        records = FabricScheduler(workers=args.jobs).run(jobs)
-    else:
-        records = SweepRunner(workers=args.jobs).run(jobs)
+    records = SweepRunner(workers=args.jobs).run(jobs)
 
     by_key = {(job.benchmark, job.mode): record for job, record in zip(jobs, records)}
     if args.json:
@@ -263,103 +256,8 @@ def cmd_designs(_args) -> int:
     return 0
 
 
-def _fabric_jobs(args):
-    """Benchmark x mode SimJob batch shared by fabric submit."""
-    modes = [GatingMode(mode.strip()) for mode in args.modes.split(",") if mode.strip()]
-    if not modes:
-        raise SystemExit("fabric submit: --modes must name at least one gating mode")
-    names = args.benchmarks or [p.name for p in ALL_BENCHMARKS]
-    design = design_by_name(args.design) if args.design else None
-    jobs = []
-    for name in names:
-        profile = get_profile(name)  # fail fast on unknown names
-        job_design = design or design_for_suite(profile.suite)
-        for mode in modes:
-            jobs.append(
-                SimJob(
-                    benchmark=name,
-                    design=job_design,
-                    mode=mode,
-                    max_instructions=args.instructions,
-                    backend=args.backend,
-                )
-            )
-    return jobs
-
-
-def cmd_fabric_submit(args) -> int:
-    from repro.sim.fabric import FabricScheduler, JobStatus, RetryPolicy
-
-    jobs = _fabric_jobs(args)
-    scheduler = FabricScheduler(
-        workers=args.jobs,
-        retry=RetryPolicy(max_attempts=args.retries, base_delay=args.backoff),
-        job_timeout=args.timeout,
-        shard_size=args.shard_size,
-    )
-    progress = (
-        (lambda event: print(f"  {event.status.value:>7} {event.key[:12]}"
-                             + (f" (attempt {event.attempt})" if event.attempt else "")))
-        if args.progress
-        else None
-    )
-    scheduler.on_event = progress
-    records = scheduler.run(jobs)
-    snapshot = scheduler.registry.snapshot()
-
-    if args.json:
-        payload = {
-            "jobs": [
-                {
-                    "benchmark": job.benchmark,
-                    "mode": job.mode.value,
-                    "job_key": record.job_key,
-                    "status": (
-                        JobStatus.FAILED.value
-                        if not record.ok
-                        else (
-                            JobStatus.CACHED.value
-                            if record.from_cache
-                            else JobStatus.DONE.value
-                        )
-                    ),
-                    "from_cache": record.from_cache,
-                    "error": record.error,
-                    "result": record.result.to_dict() if record.ok else None,
-                }
-                for job, record in zip(jobs, records)
-            ],
-            "metrics": snapshot,
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return 1 if any(not r.ok for r in records) else 0
-
-    rows = []
-    for job, record in zip(jobs, records):
-        if record.ok:
-            status = "cached" if record.from_cache else "done"
-            detail = f"ipc {record.result.ipc:.3f}"
-        else:
-            status, detail = "failed", record.error[:48]
-        rows.append((job.benchmark, job.mode.value, status, detail))
-    counters = snapshot["counters"]
-    print(
-        f"{len(jobs)} job(s): "
-        f"{counters.get('fabric_jobs{status=done}', 0)} run, "
-        f"{counters.get('fabric_jobs{status=cached}', 0)} cached, "
-        f"{counters.get('fabric_jobs{status=failed}', 0)} failed; "
-        f"{counters.get('fabric_retries', 0)} retries, "
-        f"{counters.get('fabric_timeouts', 0)} timeouts, "
-        f"{counters.get('fabric_pool_restarts', 0)} pool restarts"
-    )
-    print(format_table(("benchmark", "mode", "status", "detail"), rows))
-    return 1 if any(not r.ok for r in records) else 0
-
-
-def cmd_fabric_status(args) -> int:
-    from repro.sim.fabric import cache_stats
-
-    stats = cache_stats()
+def cmd_cache_status(args) -> int:
+    stats = ResultCache().stats()
     if args.json:
         print(json.dumps(stats, indent=2, sort_keys=True))
         return 0
@@ -370,21 +268,21 @@ def cmd_fabric_status(args) -> int:
     print(f"  bytes   : {stats['bytes']:,}")
     print(f"  budget  : {budget:,}" if budget else "  budget  : unbounded")
     if stats["over_budget"]:
-        print("  WARNING : over budget — run `python -m repro fabric gc`")
+        print("  WARNING : over budget — run `python -m repro cache gc`")
     return 0
 
 
-def cmd_fabric_gc(args) -> int:
-    from repro.sim.engine import ResultCache
-    from repro.sim.fabric import gc_cache
-
+def cmd_cache_gc(args) -> int:
     cache = ResultCache()
     if args.clear:
-        removed = cache.clear()
-        report = {"evicted": removed, "entries": 0, "bytes": 0,
-                  "budget_bytes": cache.budget_bytes}
+        budget = cache.budget_bytes
+        evicted = cache.clear()
     else:
-        report = gc_cache(cache, budget_bytes=args.budget)
+        budget = cache.budget_bytes if args.budget is None else args.budget
+        evicted = cache.evict_to_budget(budget)
+    stats = cache.stats()
+    report = {"evicted": evicted, "entries": stats["entries"],
+              "bytes": stats["bytes"], "budget_bytes": budget}
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
         return 0
@@ -594,105 +492,20 @@ def main(argv=None) -> int:
         help="execution backend for every job (default: fastpath); "
         "results and cache keys are backend-independent",
     )
-    sweep_parser.add_argument(
-        "--fabric",
-        action="store_true",
-        help="route the batch through the fault-tolerant fabric scheduler "
-        "(retries, crash isolation) instead of the plain SweepRunner; "
-        "results are bit-identical",
-    )
     sweep_parser.set_defaults(func=cmd_sweep)
 
-    fabric_parser = sub.add_parser(
-        "fabric",
-        help="fault-tolerant job service: submit batches, inspect / gc the cache",
+    cache_parser = sub.add_parser(
+        "cache", help="inspect or trim the on-disk result cache"
     )
-    fabric_sub = fabric_parser.add_subparsers(dest="fabric_command", required=True)
+    cache_sub = cache_parser.add_subparsers(dest="cache_command", required=True)
 
-    submit_parser = fabric_sub.add_parser(
-        "submit", help="run a benchmark x mode batch with retries and timeouts"
-    )
-    submit_parser.add_argument(
-        "benchmarks",
-        nargs="*",
-        help="benchmark names (default: all 29 profiles)",
-    )
-    submit_parser.add_argument(
-        "-m",
-        "--modes",
-        default="full,powerchop",
-        help="comma-separated gating modes (default: full,powerchop)",
-    )
-    submit_parser.add_argument(
-        "-n",
-        "--instructions",
-        type=int,
-        default=2_000_000,
-        help="guest instructions per job (default 2M)",
-    )
-    submit_parser.add_argument(
-        "-d",
-        "--design",
-        default="",
-        help="design point: server | mobile (default: paper pairing)",
-    )
-    submit_parser.add_argument(
-        "-j",
-        "--jobs",
-        type=int,
-        default=None,
-        help="process-pool workers (default: REPRO_JOBS, else 1)",
-    )
-    submit_parser.add_argument(
-        "--backend",
-        default=None,
-        choices=available_backends(),
-        help="execution backend for every job (default: fastpath)",
-    )
-    submit_parser.add_argument(
-        "--retries",
-        type=int,
-        default=3,
-        help="max attempts per job including the first (default 3)",
-    )
-    submit_parser.add_argument(
-        "--backoff",
-        type=float,
-        default=0.05,
-        help="base retry backoff in seconds, doubled per attempt (default 0.05)",
-    )
-    submit_parser.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        help="per-job wall-clock timeout in seconds (default: none)",
-    )
-    submit_parser.add_argument(
-        "--shard-size",
-        type=int,
-        default=32,
-        help="jobs dispatched concurrently per shard (default 32; 1 "
-        "fully serialises dispatch)",
-    )
-    submit_parser.add_argument(
-        "--progress",
-        action="store_true",
-        help="stream per-job status transitions as they happen",
-    )
-    submit_parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit per-job records plus the fabric metrics snapshot",
-    )
-    submit_parser.set_defaults(func=cmd_fabric_submit)
-
-    status_parser = fabric_sub.add_parser(
+    status_parser = cache_sub.add_parser(
         "status", help="result-cache occupancy, budget and counters"
     )
     status_parser.add_argument("--json", action="store_true")
-    status_parser.set_defaults(func=cmd_fabric_status)
+    status_parser.set_defaults(func=cmd_cache_status)
 
-    gc_parser = fabric_sub.add_parser(
+    gc_parser = cache_sub.add_parser(
         "gc", help="evict least-recently-used cache entries to a size budget"
     )
     gc_parser.add_argument(
@@ -707,7 +520,7 @@ def main(argv=None) -> int:
         help="delete every cache entry instead of evicting to budget",
     )
     gc_parser.add_argument("--json", action="store_true")
-    gc_parser.set_defaults(func=cmd_fabric_gc)
+    gc_parser.set_defaults(func=cmd_cache_gc)
 
     sub.add_parser("designs", help="print Table I design points").set_defaults(
         func=cmd_designs

@@ -821,7 +821,7 @@ def run_vectorized(simulator: "HybridSimulator", max_instructions: int) -> float
     # probe plus three attribute loads (``tid`` is a computed property)
     # on every region entry.
     rc_memo: dict = {}
-    rc_memo_get = rc_memo.get
+    rc_memo_lookup = rc_memo.get
 
     # Global-correlated / generic outcomes in walk order, consumed by the
     # flush's taken-bit gather (buffered kinds re-read their own buffers).
@@ -1608,7 +1608,7 @@ def run_vectorized(simulator: "HybridSimulator", max_instructions: int) -> float
                     else:
                         if cur_trans is not None:
                             bt._current = None
-                        mem = rc_memo_get(pc)
+                        mem = rc_memo_lookup(pc)
                         if mem is None:
                             entered = rc_get(pc)
                             if entered is not None:

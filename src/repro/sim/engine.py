@@ -15,16 +15,15 @@ This is the single way to describe, instrument, run and cache simulations:
 - :class:`SweepRunner` — run batches of jobs across a
   ``ProcessPoolExecutor`` (worker count from ``REPRO_JOBS``; results come
   back in job order regardless of completion order, bit-identical to the
-  serial path).
+  serial path).  It is the only batch runner: a job that raises or kills
+  its worker yields a failed record, never an aborted batch.
 
 Environment knobs: ``REPRO_JOBS`` (default worker count, default 1),
 ``REPRO_CACHE_DIR`` (cache directory, default ``~/.cache/repro-powerchop``),
 ``REPRO_CACHE=0`` to disable the on-disk layer entirely and
 ``REPRO_CACHE_BUDGET`` (bytes; 0 or unset = unbounded) to cap the on-disk
-cache size with LRU eviction.
-
-The fault-tolerant service layer over this engine — retries, timeouts,
-crash isolation, progress streaming — lives in :mod:`repro.sim.fabric`.
+cache size with LRU eviction.  ``python -m repro cache status|gc``
+inspects and trims the on-disk cache.
 """
 
 from __future__ import annotations
@@ -52,53 +51,25 @@ from repro.workloads.suites import get_profile
 
 __all__ = [
     "NON_KEY_FIELDS",
-    "SCHEMA_MIGRATIONS",
     "SimJob",
     "JobRecord",
     "ResultCache",
     "SweepRunner",
     "execute_job",
     "failed_record",
-    "register_schema_migration",
     "run_job",
     "run_jobs",
     "clear_memo",
-    "memo_get",
-    "memo_put",
     "default_workers",
 ]
 
-#: Bump when result semantics or the cache schema change; entries written
-#: under an older schema are fed through the :data:`SCHEMA_MIGRATIONS`
-#: chain on read and treated as misses only when no chain reaches the
-#: current version.  v2: POWERCHOP results gained the static-pre-pass
-#: counters in ``extra``.  v3: results gained the ``metrics`` registry
+#: Bump when result semantics or the cache schema change; an entry whose
+#: ``schema`` differs is a miss.  v2: POWERCHOP results gained the
+#: static-pre-pass counters in ``extra``.  v3: results gained the ``metrics`` registry
 #: snapshot (``repro.obs.metrics``, ``METRICS_SCHEMA_VERSION``) and jobs
 #: the ``obs_level`` field.  v4: jobs gained the ``backend`` field
 #: (excluded from the key — see ``NON_KEY_FIELDS``).
 CACHE_SCHEMA_VERSION = 4
-
-#: Schema-version migration hooks: ``{from_version: fn(payload) -> payload}``.
-#: Each hook receives the raw JSON payload of an entry written under
-#: ``from_version`` and must return a payload valid under a *newer*
-#: version, with its ``"schema"`` field updated.  :meth:`ResultCache.get`
-#: chains hooks until the payload reaches ``CACHE_SCHEMA_VERSION`` (or no
-#: hook applies — then the entry is a miss).  The schema version is
-#: deliberately *not* part of :meth:`SimJob.key`, so a bump alone does not
-#: orphan entries — registering a migration keeps them readable.
-SCHEMA_MIGRATIONS: Dict[int, Callable[[Dict[str, Any]], Dict[str, Any]]] = {}
-
-
-def register_schema_migration(
-    from_version: int,
-) -> Callable[[Callable[[Dict[str, Any]], Dict[str, Any]]], Callable[[Dict[str, Any]], Dict[str, Any]]]:
-    """Decorator registering a cache payload migration from ``from_version``."""
-
-    def _register(fn: Callable[[Dict[str, Any]], Dict[str, Any]]):
-        SCHEMA_MIGRATIONS[from_version] = fn
-        return fn
-
-    return _register
 
 #: Job fields deliberately EXCLUDED from :meth:`SimJob.key`:
 #:
@@ -254,11 +225,9 @@ class SimJob:
         field participates except the documented ``NON_KEY_FIELDS`` (the
         ``configure`` callback is represented by ``cache_tag``, enforced
         non-empty above); the package's source fingerprint salts the hash
-        so results cached by other code never alias this code's.  The
-        cache *schema* version is deliberately not in the key: entries
-        carry it in-file instead, so a schema bump with a registered
-        :data:`SCHEMA_MIGRATIONS` hook keeps old entries readable under
-        the same key.
+        so results cached by other code never alias this code's (and,
+        since ``CACHE_SCHEMA_VERSION`` lives in one of those sources, a
+        schema bump changes every key too).
         """
         parts = (
             f"code={_code_fingerprint()}",
@@ -285,10 +254,9 @@ class JobRecord:
 
     A record either succeeded (``result`` set, ``error`` empty) or failed
     (``result is None``, ``error`` holds the reason).  Failed records are
-    produced by the batch runners — :class:`SweepRunner` and
-    :class:`repro.sim.fabric.FabricScheduler` — so one bad job cannot
-    abort a batch; they are never memoised or persisted, so a transient
-    failure is retried on the next submission.
+    produced by :class:`SweepRunner`, so one bad job cannot abort a batch;
+    they are never memoised or persisted, so a transient failure is
+    retried on the next submission.
     """
 
     job_key: str
@@ -361,12 +329,10 @@ class ResultCache:
 
     The directory comes from ``REPRO_CACHE_DIR`` (default
     ``~/.cache/repro-powerchop``); ``REPRO_CACHE=0`` disables reads and
-    writes.  Entries are invalidated implicitly: the package version salts
-    the job hash, and any config change alters the key.  Corrupt or
-    unreadable entries are treated as misses.  Entries written under an
-    older ``CACHE_SCHEMA_VERSION`` are run through the
-    :data:`SCHEMA_MIGRATIONS` chain; an entry no chain can bring current
-    is a miss.
+    writes.  Entries are invalidated implicitly: a fingerprint of the
+    package's sources salts the job hash, and any config change alters
+    the key.  Corrupt or unreadable entries, and entries whose ``schema``
+    is not ``CACHE_SCHEMA_VERSION``, are treated as misses.
 
     Lifecycle: ``budget_bytes`` (default ``REPRO_CACHE_BUDGET``; 0 =
     unbounded) caps the total on-disk size.  Every ``put`` evicts
@@ -417,18 +383,6 @@ class ResultCache:
         except OSError:
             pass  # entry raced away; the next get is simply a miss
 
-    def _migrate(self, data: Dict[str, Any]) -> Dict[str, Any]:
-        """Chain :data:`SCHEMA_MIGRATIONS` until ``data`` is current."""
-        seen = set()
-        while data.get("schema") != CACHE_SCHEMA_VERSION:
-            version = data.get("schema")
-            hook = SCHEMA_MIGRATIONS.get(version)
-            if hook is None or version in seen:
-                raise ValueError(f"no migration path from schema {version!r}")
-            seen.add(version)
-            data = hook(data)
-        return data
-
     def get(self, key: str) -> Optional[JobRecord]:
         if not self.enabled:
             return None
@@ -436,7 +390,8 @@ class ResultCache:
         try:
             with open(path) as handle:
                 data = json.load(handle)
-            data = self._migrate(data)
+            if data.get("schema") != CACHE_SCHEMA_VERSION:
+                raise ValueError("stale cache schema")
             record = JobRecord(
                 job_key=key,
                 result=SimulationResult.from_dict(data["result"]),
@@ -447,7 +402,7 @@ class ResultCache:
                 probes=data.get("probes", {}),
                 from_cache=True,
             )
-        except (OSError, ValueError, KeyError, TypeError):
+        except (OSError, ValueError, KeyError, TypeError, AttributeError):
             self.misses += 1
             return None
         self.hits += 1
@@ -472,8 +427,13 @@ class ResultCache:
             return  # non-JSON probe value; skip persistence, keep the memo
         self.root.mkdir(parents=True, exist_ok=True)
         tmp = self._path(key).with_suffix(".tmp%d" % os.getpid())
-        tmp.write_text(text)
-        os.replace(tmp, self._path(key))
+        try:
+            tmp.write_text(text)
+            os.replace(tmp, self._path(key))
+        finally:
+            # Entries are globbed as ``*.json``, so a temp file left by a
+            # failed write would be invisible to the budget and to gc.
+            tmp.unlink(missing_ok=True)
         self._touch(self._path(key))
         self.evict_to_budget()
 
@@ -520,14 +480,18 @@ class ResultCache:
         return evicted
 
     def stats(self) -> Dict[str, Any]:
-        """Lifecycle snapshot: occupancy plus this instance's counters."""
+        """Lifecycle snapshot: occupancy, entry-age bounds and counters."""
         rows = self.entries()
+        total = sum(size for _path, _mtime, size in rows)
         return {
             "root": str(self.root),
             "enabled": self.enabled,
             "entries": len(rows),
-            "bytes": sum(size for _path, _mtime, size in rows),
+            "bytes": total,
             "budget_bytes": self.budget_bytes,
+            "over_budget": bool(self.budget_bytes and total > self.budget_bytes),
+            "oldest_mtime": rows[0][1] if rows else None,
+            "newest_mtime": rows[-1][1] if rows else None,
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
@@ -554,17 +518,6 @@ _MEMO: Dict[str, JobRecord] = {}
 def clear_memo() -> None:
     """Drop the per-process memo (the on-disk cache is unaffected)."""
     _MEMO.clear()
-
-
-def memo_get(key: str) -> Optional[JobRecord]:
-    """Look up the per-process memo (used by the fabric scheduler)."""
-    return _MEMO.get(key)
-
-
-def memo_put(key: str, record: JobRecord) -> None:
-    """Install a successful record in the per-process memo."""
-    if record.ok:
-        _MEMO[key] = record
 
 
 def run_job(job: SimJob, cache: Optional[ResultCache] = None) -> JobRecord:
@@ -646,8 +599,8 @@ class SweepRunner:
     Failures are isolated per job: a job that raises, returns an
     unpicklable result, or hard-crashes its worker yields a failed
     :class:`JobRecord` (``result=None``, ``error`` set) while the rest of
-    the batch completes.  For retries, timeouts and progress streaming use
-    :class:`repro.sim.fabric.FabricScheduler` instead.
+    the batch completes.  There are no retries; failed records are not
+    cached, so resubmitting a batch re-runs only its failures.
     """
 
     def __init__(

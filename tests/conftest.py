@@ -1,24 +1,18 @@
 """Shared fixtures for the test suite.
 
 Besides the profile/config fixtures, this file provides the
-fault-injection toolkit for the sweep-fabric suite:
+fault-injection toolkit for the batch runner's crash-isolation tests:
 
 - :class:`FaultyExecutor` — a picklable ``SimJob.configure`` callback
-  that deterministically kills, hangs, or fails its worker (optionally
-  only on the first attempt, via an on-disk latch);
+  that deterministically kills or fails its worker;
 - :class:`UnpicklableProbe` — a probe whose value poisons result
   pickling, so the job *runs* but its record cannot cross the process
   boundary;
 - the ``crashing_job`` fixture — a factory for jobs carrying those
-  faults;
-- a hard ``@pytest.mark.timeout(seconds)`` marker enforced with
-  ``SIGALRM``, so hang-injection tests can never wedge a CI runner (no
-  pytest-timeout dependency needed).
+  faults.
 """
 
 import os
-import signal
-import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -38,34 +32,6 @@ from repro.workloads.profiles import (
 from repro.workloads.mixes import GLOBAL_HEAVY, PREDICTABLE
 
 
-# --------------------------------------------------- hard test timeouts
-
-
-@pytest.hookimpl(wrapper=True)
-def pytest_runtest_call(item):
-    """Enforce ``@pytest.mark.timeout(seconds)`` with a SIGALRM deadline.
-
-    A hang-injection test that escapes its in-test timeout would
-    otherwise block the whole suite; the alarm turns it into an ordinary
-    failure.  On platforms without ``SIGALRM`` the marker is a no-op.
-    """
-    marker = item.get_closest_marker("timeout")
-    seconds = marker.args[0] if marker is not None and marker.args else None
-    if not seconds or not hasattr(signal, "SIGALRM"):
-        return (yield)
-
-    def _expired(signum, frame):
-        raise TimeoutError(f"test exceeded hard timeout of {seconds}s")
-
-    previous = signal.signal(signal.SIGALRM, _expired)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        return (yield)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 # ----------------------------------------------------- fault injection
 
 
@@ -77,34 +43,22 @@ class FaultyExecutor:
 
     - ``"crash"`` — hard-kills the worker (``os._exit``), poisoning a
       ``ProcessPoolExecutor`` exactly like a segfault or OOM-kill;
-    - ``"hang"``  — sleeps far past any reasonable job timeout;
-    - ``"raise"`` — raises ``RuntimeError`` from the job body;
-    - ``"ok"``    — no fault (control).
+    - ``"raise"`` — raises ``RuntimeError`` from the job body.
 
-    With ``latch`` set, the fault fires only if the latch file does not
-    exist yet (and creates it) — i.e. exactly once across attempts, which
-    is what the retry-success tests need.  Instances are picklable, so
-    faulty jobs travel to pool workers like any other job.
+    Instances are picklable, so faulty jobs travel to pool workers like
+    any other job.
     """
 
-    KINDS = ("crash", "hang", "raise", "ok")
+    KINDS = ("crash", "raise")
 
-    def __init__(self, kind: str, latch: Optional[str] = None) -> None:
+    def __init__(self, kind: str) -> None:
         if kind not in self.KINDS:
             raise ValueError(f"unknown fault kind {kind!r}")
         self.kind = kind
-        self.latch = latch
 
     def __call__(self, simulator) -> None:
-        if self.latch is not None:
-            if os.path.exists(self.latch):
-                return  # fault already fired once; behave normally
-            with open(self.latch, "w"):
-                pass
         if self.kind == "crash":
             os._exit(13)
-        elif self.kind == "hang":
-            time.sleep(600)
         elif self.kind == "raise":
             raise RuntimeError("injected fault")
 
@@ -131,31 +85,28 @@ class _UnpicklableState(ProbeState):
 
 
 @pytest.fixture
-def crashing_job(tmp_path):
+def crashing_job():
     """Factory for :class:`~repro.sim.engine.SimJob` carrying an injected fault.
 
-    ``make(kind, once=False, ...)`` returns a job whose worker crashes,
-    hangs or raises deterministically; ``once=True`` arms the fault for
-    the first attempt only (retries succeed).  Each distinct ``tag``
-    yields a distinct cache key, so faulty jobs never alias healthy ones.
+    ``make(kind, ...)`` returns a job whose worker crashes or raises
+    deterministically.  Each distinct ``tag`` yields a distinct cache key,
+    so faulty jobs never alias healthy ones.
     """
     from repro.sim.engine import SimJob
 
     def _make(
         kind: str = "crash",
-        once: bool = False,
         benchmark: str = "hmmer",
         budget: int = 30_000,
         tag: str = "",
         seed: Optional[int] = None,
     ) -> SimJob:
-        label = tag or f"{kind}-{'once' if once else 'always'}"
-        latch = str(tmp_path / f"latch-{label}") if once else None
+        label = tag or kind
         return SimJob(
             benchmark=benchmark,
             max_instructions=budget,
             seed=seed,
-            configure=FaultyExecutor(kind, latch),
+            configure=FaultyExecutor(kind),
             cache_tag=f"fault-{label}",
         )
 

@@ -1,6 +1,8 @@
 """Tests for the unified simulation engine (jobs, probes, cache, sweeps)."""
 
 import json
+import os
+import random
 import time
 
 import pytest
@@ -22,6 +24,7 @@ from repro.sim.simulator import GatingMode, HybridSimulator
 from repro.uarch.config import MOBILE, SERVER, design_for_suite
 from repro.workloads.profiles import build_workload
 from repro.workloads.suites import get_profile
+from tests.conftest import UnpicklableProbe
 
 
 @pytest.fixture(autouse=True)
@@ -30,6 +33,7 @@ def fresh_engine(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.delenv("REPRO_JOBS", raising=False)
     monkeypatch.delenv("REPRO_CACHE", raising=False)
+    monkeypatch.delenv("REPRO_CACHE_BUDGET", raising=False)
     engine.clear_memo()
     yield
     engine.clear_memo()
@@ -42,6 +46,29 @@ def _six_jobs(budget=60_000):
         for mode in (GatingMode.FULL, GatingMode.POWERCHOP, GatingMode.MINIMAL):
             jobs.append(SimJob(benchmark=name, mode=mode, max_instructions=budget))
     return jobs
+
+
+def _job(seed=None, budget=30_000, benchmark="hmmer", mode=GatingMode.FULL):
+    return SimJob(
+        benchmark=benchmark, mode=mode, max_instructions=budget, seed=seed
+    )
+
+
+@pytest.fixture(scope="module")
+def template_record():
+    """One real successful record to persist under synthetic keys."""
+    return execute_job(SimJob(benchmark="hmmer", max_instructions=20_000))
+
+
+class _Clock:
+    """Deterministic strictly-increasing mtime source."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self):
+        self.now += 1.0
+        return self.now
 
 
 class TestSimJobValidation:
@@ -167,9 +194,29 @@ class TestResultCache:
         cache = ResultCache()
         run_job(job, cache=cache)
         path = cache.root / f"{job.key()}.json"
+        valid = json.loads(path.read_text())
         path.write_text("{not json")
         engine.clear_memo()
         assert ResultCache().get(job.key()) is None
+        path.write_text("[]")  # valid JSON, not an entry
+        assert ResultCache().get(job.key()) is None
+        path.write_text(
+            json.dumps({**valid, "schema": engine.CACHE_SCHEMA_VERSION - 1})
+        )
+        assert ResultCache().get(job.key()) is None
+        path.write_text(json.dumps(valid))
+        assert ResultCache().get(job.key()) is not None
+
+    def test_failed_write_leaves_no_temp_file(self, monkeypatch, template_record):
+        def no_space(src, dst):
+            raise OSError(28, "No space left on device")
+
+        cache = ResultCache()
+        monkeypatch.setattr(os, "replace", no_space)
+        with pytest.raises(OSError, match="No space left"):
+            cache.put("doomed", template_record)
+        assert list(cache.root.glob("*.tmp*")) == []
+        assert cache.entries() == []
 
     def test_disable_via_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE", "0")
@@ -184,6 +231,143 @@ class TestResultCache:
         run_job(SimJob(benchmark="hmmer", max_instructions=60_000), cache=cache)
         assert cache.clear() == 1
         assert cache.clear() == 0
+
+
+class TestCacheLifecycle:
+    def _cache(self, tmp_path, budget_entries, entry_size):
+        return ResultCache(
+            root=tmp_path / "lru",
+            budget_bytes=budget_entries * entry_size,
+            clock=_Clock(),
+        )
+
+    def _entry_size(self, tmp_path, record):
+        probe = ResultCache(root=tmp_path / "probe")
+        probe.put("size-probe", record)
+        return probe.total_bytes()
+
+    def test_lru_never_evicts_just_hit_key_before_colder(
+        self, tmp_path, template_record
+    ):
+        size = self._entry_size(tmp_path, template_record)
+        cache = self._cache(tmp_path, 3, size)
+        for key in ("k1", "k2", "k3"):
+            cache.put(key, template_record)
+        assert cache.get("k1") is not None  # touch: k1 is now hottest
+        cache.put("k4", template_record)  # over budget: k2 is coldest
+        names = {path.name for path, _mtime, _size in cache.entries()}
+        assert names == {"k1.json", "k3.json", "k4.json"}
+        assert cache.evictions == 1
+        assert cache.get("k2") is None  # evicted -> miss
+
+    def test_budget_smaller_than_one_entry_still_holds(
+        self, tmp_path, template_record
+    ):
+        size = self._entry_size(tmp_path, template_record)
+        cache = ResultCache(
+            root=tmp_path / "tiny", budget_bytes=size - 1, clock=_Clock()
+        )
+        cache.put("only", template_record)
+        assert cache.total_bytes() <= size - 1  # invariant wins: evicted
+        assert cache.entries() == []
+
+    def test_zero_budget_means_unbounded(self, tmp_path, template_record):
+        cache = ResultCache(root=tmp_path / "unbounded", budget_bytes=0)
+        for index in range(8):
+            cache.put(f"key{index}", template_record)
+        assert len(cache.entries()) == 8
+        assert cache.evictions == 0
+
+    def test_budget_env_default(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_CACHE_BUDGET", "12345")
+        assert ResultCache(root=tmp_path).budget_bytes == 12345
+        monkeypatch.setenv("REPRO_CACHE_BUDGET", "chonky")
+        with pytest.raises(ValueError):
+            ResultCache(root=tmp_path)
+
+    def test_property_interleavings_respect_budget_lru_and_counters(
+        self, tmp_path, template_record
+    ):
+        """Seeded random put/get interleavings against a model cache.
+
+        Invariants after every operation: total bytes <= budget; the
+        resident key set is exactly the model's LRU survivors (so no
+        eviction ever picks a hotter key over a colder one); and the
+        hit/miss/eviction counters equal the model's observed counts.
+        """
+        size = self._entry_size(tmp_path, template_record)
+        budget_entries = 4
+        cache = self._cache(tmp_path, budget_entries, size)
+        rng = random.Random(1234)
+        universe = [f"key{n}" for n in range(10)]
+        model_lru: list = []  # coldest ... hottest
+        hits = misses = evictions = 0
+
+        for _step in range(300):
+            key = rng.choice(universe)
+            if rng.random() < 0.5:
+                cache.put(key, template_record)
+                if key in model_lru:
+                    model_lru.remove(key)
+                model_lru.append(key)
+                while len(model_lru) > budget_entries:
+                    model_lru.pop(0)
+                    evictions += 1
+            else:
+                record = cache.get(key)
+                if key in model_lru:
+                    assert record is not None, f"model expected hit on {key}"
+                    model_lru.remove(key)
+                    model_lru.append(key)
+                    hits += 1
+                else:
+                    assert record is None, f"model expected miss on {key}"
+                    misses += 1
+            assert cache.total_bytes() <= budget_entries * size
+            resident = {path.name[: -len(".json")] for path, _m, _s in cache.entries()}
+            assert resident == set(model_lru)
+        assert (cache.hits, cache.misses, cache.evictions) == (
+            hits,
+            misses,
+            evictions,
+        ), "counters must reconcile with observed operations"
+        assert evictions > 0 and hits > 0 and misses > 0  # the run was interesting
+
+
+class TestCacheCommands:
+    """``python -m repro cache status|gc`` over a populated cache."""
+
+    def _populate(self, record, count=3):
+        cache = ResultCache()
+        for index in range(count):
+            cache.put(f"entry{index}", record)
+        return cache
+
+    def _json(self, capsys, argv):
+        from repro.__main__ import main
+
+        assert main(argv) == 0
+        return json.loads(capsys.readouterr().out)
+
+    def test_status_reports_occupancy(self, capsys, template_record):
+        self._populate(template_record)
+        stats = self._json(capsys, ["cache", "status", "--json"])
+        assert stats["entries"] == 3
+        assert stats["over_budget"] is False  # unbounded
+        assert stats["oldest_mtime"] <= stats["newest_mtime"]
+
+    def test_gc_evicts_to_budget(self, capsys, template_record):
+        cache = self._populate(template_record)
+        report = self._json(capsys, ["cache", "gc", "--budget", "1", "--json"])
+        assert report["evicted"] == 3
+        assert report["entries"] == 0 and report["budget_bytes"] == 1
+        assert cache.entries() == []
+
+    def test_gc_clear_empties_the_cache(self, capsys, template_record):
+        cache = self._populate(template_record)
+        report = self._json(capsys, ["cache", "gc", "--clear", "--json"])
+        assert report["evicted"] == 3 and report["entries"] == 0
+        assert cache.entries() == []
 
 
 class TestSweepRunnerDeterminism:
@@ -255,6 +439,36 @@ class TestSweepRunnerDeterminism:
             f"warm cache not >=10x faster: cold {cold_elapsed:.3f}s, "
             f"warm {warm_elapsed:.3f}s"
         )
+
+
+class TestSweepRunnerFaultIsolation:
+    def test_unpicklable_result_fails_one_job_not_the_batch(self):
+        poisoned = SimJob(
+            benchmark="hmmer",
+            max_instructions=30_000,
+            probes=(UnpicklableProbe(),),
+        )
+        jobs = [_job(seed=1), poisoned, _job(seed=2)]
+        records = SweepRunner(workers=2).run(jobs)
+        assert [r.ok for r in records] == [True, False, True]
+        assert records[1].result is None
+        assert records[1].error
+        # The failure is not memoised or persisted: resubmitting retries it.
+        assert poisoned.key() not in engine._MEMO
+        assert ResultCache().get(poisoned.key()) is None
+
+    def test_crashed_worker_fails_one_job_rest_complete(self, crashing_job):
+        jobs = [_job(seed=1), crashing_job("crash"), _job(seed=2), _job(seed=3)]
+        records = SweepRunner(workers=2).run(jobs)
+        assert len(records) == len(jobs)
+        assert [r.ok for r in records] == [True, False, True, True]
+        assert "BrokenProcessPool" in records[1].error
+
+    def test_raising_job_fails_serially_too(self, crashing_job):
+        jobs = [crashing_job("raise"), _job(seed=4)]
+        records = SweepRunner(workers=1).run(jobs)
+        assert [r.ok for r in records] == [False, True]
+        assert "RuntimeError: injected fault" in records[0].error
 
 
 def _legacy_timeseries_ipc(design, profile, configure, max_instructions, sample):
