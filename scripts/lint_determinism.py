@@ -19,8 +19,9 @@ The simulator's reproducibility rests on two conventions:
    function elsewhere that both walks ``workload.trace(...)`` *and*
    charges cycles through ``execute_block`` is a forked run loop that the
    suite cannot see, so this lint rejects it (rule D003).  Read-only
-   trace scans (statistics, simpoints, trace recording) don't charge
-   cycles and stay legal.
+   trace scans (Fig. 1's vector-intensity shards, Fig. 15's vector
+   prevalence, the drowsy-MLC baseline's cache walk) don't charge cycles
+   through ``execute_block`` and stay legal.
 
 4. Inside :mod:`repro.sim.backends`, randomness is pre-materialized by
    :mod:`repro.sim.backends.rngkit` plans that replicate the reference

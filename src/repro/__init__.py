@@ -33,13 +33,10 @@ from repro.sim import (
     HybridSimulator,
     IPCSeriesProbe,
     JobRecord,
-    PhaseLogProbe,
     ResultCache,
     SimJob,
     SimulationResult,
-    StaticHintsProbe,
     SweepRunner,
-    UnitActivityProbe,
     energy_reduction,
     leakage_reduction,
     power_reduction,
@@ -78,9 +75,6 @@ __all__ = [
     "run_job",
     "run_jobs",
     "IPCSeriesProbe",
-    "PhaseLogProbe",
-    "StaticHintsProbe",
-    "UnitActivityProbe",
     "StaticHints",
     "build_hints",
     "analyze_profile",

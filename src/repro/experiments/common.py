@@ -12,7 +12,6 @@ from repro.sim.probes import IPCSeriesProbe
 from repro.sim.results import SimulationResult
 from repro.sim.simulator import GatingMode, HybridSimulator
 from repro.uarch.config import DesignPoint, design_for_suite
-from repro.workloads.profiles import BenchmarkProfile, build_workload
 from repro.workloads.suites import get_profile
 
 #: Baseline per-run instruction budgets (multiplied by REPRO_SCALE).
@@ -122,22 +121,28 @@ def server_and_mobile_benchmarks() -> List[Tuple[str, DesignPoint]]:
 
 
 def timeseries_ipc(
-    design: DesignPoint,
-    profile: BenchmarkProfile,
-    configure: Callable[[HybridSimulator], None],
+    benchmark: str,
     max_instructions: int,
     sample_instructions: int,
+    configure: Optional[Callable[[HybridSimulator], None]] = None,
+    cache_tag: str = "",
 ) -> List[float]:
     """IPC sampled every ``sample_instructions`` (for Figs. 2 and 3).
 
-    Runs a full-power simulation with ``configure`` applied first (e.g.
-    forcing the small BPU or a 1-way MLC) and records windowed IPC through
-    an :class:`~repro.sim.probes.IPCSeriesProbe` — including the trailing
-    partial window when it covers at least half a sample.
+    Runs a full-power job on the benchmark's paper design point with
+    ``configure`` applied first (e.g. forcing the small BPU or a 1-way MLC;
+    it needs a ``cache_tag`` naming it) and records windowed IPC through an
+    :class:`~repro.sim.probes.IPCSeriesProbe` — including the trailing
+    partial window when it covers at least half a sample.  Repeated calls
+    are served from the engine's memo and on-disk cache; each returns its
+    own list, so a caller cannot edit the memoised series.
     """
-    workload = build_workload(profile)
-    simulator = HybridSimulator(design, workload, GatingMode.FULL)
-    configure(simulator)
-    probe = IPCSeriesProbe(sample_instructions=sample_instructions).build()
-    simulator.run(max_instructions, probes=(probe,))
-    return probe.value()
+    job = engine.SimJob(
+        benchmark=benchmark,
+        mode=GatingMode.FULL,
+        max_instructions=max_instructions,
+        probes=(IPCSeriesProbe(sample_instructions=sample_instructions),),
+        configure=configure,
+        cache_tag=cache_tag,
+    )
+    return list(engine.run_job(job).probes["ipc_series"])

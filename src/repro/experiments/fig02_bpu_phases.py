@@ -11,8 +11,6 @@ from typing import List, Tuple
 
 from repro.experiments.common import ExperimentResult, timeseries_ipc
 from repro.sim.simulator import HybridSimulator
-from repro.uarch.config import MOBILE
-from repro.workloads.suites import get_profile
 
 
 def ipc_series(
@@ -21,21 +19,18 @@ def ipc_series(
     sample_instructions: int = 100_000,
 ) -> Tuple[List[float], List[float]]:
     """Returns (small-BPU IPC series, large-BPU IPC series)."""
-    profile = get_profile(benchmark)
 
     def force_small(simulator: HybridSimulator) -> None:
         simulator.core.apply_bpu_state(False)
-        # Recreate the accountant snapshot consistently (not used here).
-
-    def keep_large(simulator: HybridSimulator) -> None:
-        pass
 
     small = timeseries_ipc(
-        MOBILE, profile, force_small, max_instructions, sample_instructions
+        benchmark,
+        max_instructions,
+        sample_instructions,
+        configure=force_small,
+        cache_tag="bpu=small",
     )
-    large = timeseries_ipc(
-        MOBILE, profile, keep_large, max_instructions, sample_instructions
-    )
+    large = timeseries_ipc(benchmark, max_instructions, sample_instructions)
     return small, large
 
 

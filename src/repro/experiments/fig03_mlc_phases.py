@@ -11,8 +11,6 @@ from typing import List, Tuple
 
 from repro.experiments.common import ExperimentResult, timeseries_ipc
 from repro.sim.simulator import HybridSimulator
-from repro.uarch.config import SERVER
-from repro.workloads.suites import get_profile
 
 
 def ipc_series(
@@ -21,20 +19,18 @@ def ipc_series(
     sample_instructions: int = 100_000,
 ) -> Tuple[List[float], List[float]]:
     """Returns (1-way MLC IPC series, 8-way MLC IPC series)."""
-    profile = get_profile(benchmark)
 
     def one_way(simulator: HybridSimulator) -> None:
         simulator.core.apply_mlc_state(1)
 
-    def all_ways(simulator: HybridSimulator) -> None:
-        pass
-
     small = timeseries_ipc(
-        SERVER, profile, one_way, max_instructions, sample_instructions
+        benchmark,
+        max_instructions,
+        sample_instructions,
+        configure=one_way,
+        cache_tag="mlc=1way",
     )
-    large = timeseries_ipc(
-        SERVER, profile, all_ways, max_instructions, sample_instructions
-    )
+    large = timeseries_ipc(benchmark, max_instructions, sample_instructions)
     return small, large
 
 

@@ -19,10 +19,10 @@ from repro.experiments.common import (
     instructions_for,
     run_cached,
 )
+from repro.sim.engine import SimJob, run_job
 from repro.sim.results import power_reduction, slowdown
-from repro.sim.simulator import GatingMode, HybridSimulator
+from repro.sim.simulator import GatingMode
 from repro.uarch.config import design_for_suite
-from repro.workloads.profiles import build_workload
 from repro.workloads.suites import get_profile
 
 _DEFAULT_APPS = ("hmmer", "gobmk", "soplex", "gems")
@@ -38,14 +38,13 @@ def _run_with_thresholds(
     benchmark: str, thresholds: CriticalityThresholds, fraction: float
 ):
     profile = get_profile(benchmark)
-    design = design_for_suite(profile.suite)
-    budget = instructions_for(design, fraction)
-    config = PowerChopConfig(thresholds=thresholds)
-    workload = build_workload(profile)
-    simulator = HybridSimulator(
-        design, workload, GatingMode.POWERCHOP, powerchop_config=config
+    job = SimJob(
+        benchmark=benchmark,
+        mode=GatingMode.POWERCHOP,
+        powerchop_config=PowerChopConfig(thresholds=thresholds),
+        max_instructions=instructions_for(design_for_suite(profile.suite), fraction),
     )
-    return simulator.run(budget)
+    return run_job(job).result
 
 
 def run(

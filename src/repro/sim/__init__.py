@@ -16,21 +16,13 @@ from repro.sim.engine import (
     run_job,
     run_jobs,
 )
-from repro.sim.probes import (
-    IPCSeriesProbe,
-    PhaseLogProbe,
-    ProbeSpec,
-    ProbeState,
-    StaticHintsProbe,
-    UnitActivityProbe,
-)
+from repro.sim.probes import IPCSeriesProbe, ProbeSpec, ProbeState
 from repro.sim.sweep import (
     sweep_powerchop_thresholds,
     sweep_signature_lengths,
     sweep_timeout_periods,
     sweep_window_sizes,
 )
-from repro.sim.simpoint import SimPoint, select_simpoints
 
 __all__ = [
     "GatingMode",
@@ -50,13 +42,8 @@ __all__ = [
     "ProbeSpec",
     "ProbeState",
     "IPCSeriesProbe",
-    "PhaseLogProbe",
-    "StaticHintsProbe",
-    "UnitActivityProbe",
     "sweep_powerchop_thresholds",
     "sweep_timeout_periods",
     "sweep_window_sizes",
     "sweep_signature_lengths",
-    "SimPoint",
-    "select_simpoints",
 ]

@@ -10,8 +10,8 @@ loop *defines* the simulator's semantics.  The ``fastpath`` and
 
 Two bodies share the file: a tight loop for probe-free runs with tracing
 off (the pre-observability hot path, unchanged), and the probe-ful loop
-that keeps the tracer clock current and delivers per-block / per-window
-probe callbacks.  This is the only backend that supports probes; the
+that keeps the tracer clock current and delivers the per-block probe
+callback.  This is the only backend that supports probes; the
 others delegate probe-carrying runs here.
 """
 
@@ -60,9 +60,6 @@ class ReferenceBackend:
                     cycles += controller.on_translation_entry(entered, cycles)
                 cycles += execute_block(block_exec, exec_mode is interpreted)
         else:
-            for probe in probes:
-                probe.attach(simulator)
-            windows_seen = controller.windows_seen if controller else 0
             for block_exec in simulator.workload.trace(max_instructions):
                 # Keep the tracer clock current so components without a
                 # cycle count in scope can still timestamp their events.
@@ -77,9 +74,5 @@ class ReferenceBackend:
                 instructions = core.counters.instructions
                 for probe in probes:
                     probe.on_block(block_exec, cycles, instructions)
-                if controller is not None and controller.windows_seen != windows_seen:
-                    windows_seen = controller.windows_seen
-                    for probe in probes:
-                        probe.on_window(windows_seen, cycles)
 
         return cycles

@@ -42,7 +42,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.core.config import PowerChopConfig
 from repro.obs.tracer import OBS_LEVELS
 from repro.sim.backends import resolve_backend_name
-from repro.sim.probes import MetricsProbe, PhaseLogProbe, ProbeSpec, TraceProbe
+from repro.sim.probes import ProbeSpec
 from repro.sim.results import SimulationResult
 from repro.sim.simulator import GatingMode, HybridSimulator
 from repro.uarch.config import DesignPoint, design_for_suite
@@ -190,30 +190,9 @@ class SimJob:
         config = self.powerchop_config or PowerChopConfig(
             managed_units=self.managed_units
         )
-        wants_log = self.collect_phase_log or any(
-            isinstance(spec, PhaseLogProbe) for spec in self.probes
-        )
-        if wants_log and not config.collect_phase_vectors:
+        if self.collect_phase_log and not config.collect_phase_vectors:
             config = replace(config, collect_phase_vectors=True)
         return config
-
-    def resolve_obs_level(self) -> str:
-        """The observability level the run actually needs.
-
-        A :class:`~repro.sim.probes.TraceProbe` requires the full event
-        stream, and a :class:`~repro.sim.probes.MetricsProbe` at least the
-        registry snapshot, so either raises the job's declared level.
-        """
-        level = self.obs_level
-        if level != "full" and any(
-            isinstance(spec, TraceProbe) for spec in self.probes
-        ):
-            level = "full"
-        if level == "off" and any(
-            isinstance(spec, MetricsProbe) for spec in self.probes
-        ):
-            level = "metrics"
-        return level
 
     # ---------------------------------------------------------------- key
 
@@ -242,7 +221,7 @@ class SimJob:
             f"seed={self.seed!r}",
             f"phase_log={self.collect_phase_log!r}",
             f"probes={self.probes!r}",
-            f"obs={self.resolve_obs_level()}",
+            f"obs={self.obs_level}",
             f"tag={self.cache_tag}",
         )
         return hashlib.sha256("\n".join(parts).encode()).hexdigest()
@@ -291,7 +270,7 @@ def execute_job(job: SimJob) -> JobRecord:
         mode=job.mode,
         powerchop_config=job.resolve_config(),
         timeout_cycles=job.timeout_cycles,
-        obs_level=job.resolve_obs_level(),
+        obs_level=job.obs_level,
         backend=job.backend,
     )
     if job.configure is not None:

@@ -5,11 +5,8 @@ live inside a hashable :class:`~repro.sim.engine.SimJob`) and instantiated
 per run as a mutable :class:`ProbeState` via :meth:`ProbeSpec.build`.  The
 simulator invokes the state's hooks:
 
-- ``attach(simulator)`` once before the first block;
 - ``on_block(block_exec, cycles, instructions)`` after every executed block,
   with cumulative cycle and instruction counts;
-- ``on_window(windows_seen, cycles)`` whenever the PowerChop controller
-  completes an execution window (never fires outside POWERCHOP mode);
 - ``finish(simulator, result)`` once after the run.
 
 ``value()`` returns the probe's product.  Values must be JSON-serialisable
@@ -26,22 +23,15 @@ __all__ = [
     "ProbeSpec",
     "ProbeState",
     "IPCSeriesProbe",
-    "MetricsProbe",
-    "PhaseLogProbe",
-    "StaticHintsProbe",
-    "TraceProbe",
-    "UnitActivityProbe",
     "include_trailing_window",
 ]
 
 
 def include_trailing_window(delta_instructions: int, sample_instructions: int) -> bool:
-    """Flush rule shared by every windowed probe.
+    """Flush rule for :class:`IPCSeriesProbe`'s trailing partial window.
 
     A run's trailing partial window is emitted iff it covers at least half
-    a sample window.  Keeping this predicate in one place is what makes
-    :class:`IPCSeriesProbe` and :class:`MetricsProbe` agree on window
-    counts for any (run length, sample size) pair.
+    a sample window.
     """
     return delta_instructions > 0 and 2 * delta_instructions >= sample_instructions
 
@@ -53,13 +43,7 @@ class ProbeState:
 
     name: str = "probe"
 
-    def attach(self, simulator) -> None:  # noqa: B027 - optional hook
-        pass
-
     def on_block(self, block_exec, cycles: float, instructions: int) -> None:
-        pass
-
-    def on_window(self, windows_seen: int, cycles: float) -> None:
         pass
 
     def finish(self, simulator, result) -> None:
@@ -137,262 +121,3 @@ class _IPCSeriesState(ProbeState):
 
     def value(self) -> List[float]:
         return list(self.series)
-
-
-# -------------------------------------------------------------- phase log
-
-
-@dataclass(frozen=True)
-class PhaseLogProbe(ProbeSpec):
-    """Per-window (signature, translation vector) pairs from the controller.
-
-    Requires POWERCHOP mode; the engine enables
-    ``PowerChopConfig.collect_phase_vectors`` automatically when this probe
-    is present.  The value mirrors the controller's phase log as JSON-typed
-    data: ``[[signature, {tid: count}], ...]``.
-    """
-
-    @property
-    def name(self) -> str:
-        return "phase_log"
-
-    def build(self) -> "_PhaseLogState":
-        return _PhaseLogState()
-
-
-class _PhaseLogState(ProbeState):
-    __slots__ = ("log",)
-
-    name = "phase_log"
-
-    def __init__(self) -> None:
-        self.log: List[list] = []
-
-    def finish(self, simulator, result) -> None:
-        controller = simulator.controller
-        if controller is not None:
-            self.log = [
-                [list(signature), dict(vector)]
-                for signature, vector in controller.phase_log
-            ]
-
-    def value(self) -> List[list]:
-        return self.log
-
-
-# ---------------------------------------------------------- unit activity
-
-
-@dataclass(frozen=True)
-class UnitActivityProbe(ProbeSpec):
-    """Unit power states sampled at every window boundary (POWERCHOP only).
-
-    Each sample is ``[cycles, vpu_on, bpu_large_on, mlc_ways]`` — the raw
-    material for gating-activity timelines (Figs. 9-11 style analyses).
-    """
-
-    @property
-    def name(self) -> str:
-        return "unit_activity"
-
-    def build(self) -> "_UnitActivityState":
-        return _UnitActivityState()
-
-
-class _UnitActivityState(ProbeState):
-    __slots__ = ("samples", "_simulator")
-
-    name = "unit_activity"
-
-    def __init__(self) -> None:
-        self.samples: List[list] = []
-        self._simulator = None
-
-    def attach(self, simulator) -> None:
-        self._simulator = simulator
-
-    def on_window(self, windows_seen: int, cycles: float) -> None:
-        states = self._simulator.core.states
-        self.samples.append(
-            [cycles, bool(states.vpu_on), bool(states.bpu_large_on), int(states.mlc_ways)]
-        )
-
-    def value(self) -> List[list]:
-        return self.samples
-
-
-# ------------------------------------------------------------ static hints
-
-
-@dataclass(frozen=True)
-class StaticHintsProbe(ProbeSpec):
-    """Static pre-pass effectiveness and the CDE's decided policy map.
-
-    POWERCHOP only.  The value reports how much dynamic profiling the
-    static criticality pre-pass eliminated (``vpu_windows_skipped`` —
-    profiling windows that ran with the VPU statically gated where
-    dynamic-only profiling would have kept it powered) plus the full
-    ``decided_policies`` map ``[[signature, [vpu_on, bpu_on, mlc_ways]],
-    ...]`` so A/B experiments can assert bit-identical policy decisions
-    between hinted and dynamic-only runs.
-    """
-
-    @property
-    def name(self) -> str:
-        return "static_hints"
-
-    def build(self) -> "_StaticHintsState":
-        return _StaticHintsState()
-
-
-class _StaticHintsState(ProbeState):
-    __slots__ = ("data",)
-
-    name = "static_hints"
-
-    def __init__(self) -> None:
-        self.data: dict = {"enabled": False}
-
-    def finish(self, simulator, result) -> None:
-        controller = simulator.controller
-        if controller is None:
-            return
-        cde = controller.cde
-        hints = cde.hints
-        self.data = {
-            "enabled": hints is not None,
-            "vpu_dead_regions": sorted(hints.vpu_dead_regions)
-            if hints is not None
-            else [],
-            "static_vpu_phases": cde.static_vpu_phases,
-            "vpu_windows_skipped": cde.static_vpu_windows_skipped,
-            "decided_policies": [
-                [
-                    list(signature),
-                    [int(policy.vpu_on), int(policy.bpu_on), int(policy.mlc_ways)],
-                ]
-                for signature, policy in cde.decided_policies()
-            ],
-        }
-
-    def value(self) -> dict:
-        return self.data
-
-
-# ------------------------------------------------------------ observability
-
-
-@dataclass(frozen=True)
-class TraceProbe(ProbeSpec):
-    """Chrome ``trace_event`` export of the run's event stream.
-
-    Requires the tracer to run at ``obs_level="full"``; the engine raises
-    the job's effective level automatically when this probe is present.
-    The value is the complete Chrome trace JSON object (``traceEvents``
-    plus metadata) — load it at https://ui.perfetto.dev or write it to a
-    file with ``python -m repro trace``.
-    """
-
-    @property
-    def name(self) -> str:
-        return "trace"
-
-    def build(self) -> "_TraceState":
-        return _TraceState()
-
-
-class _TraceState(ProbeState):
-    __slots__ = ("data",)
-
-    name = "trace"
-
-    def __init__(self) -> None:
-        self.data: dict = {}
-
-    def finish(self, simulator, result) -> None:
-        from repro.obs.export import chrome_trace
-
-        tracer = simulator.tracer
-        self.data = chrome_trace(
-            tracer.events(),
-            frequency_hz=simulator.design.frequency_hz,
-            end_cycles=simulator.cycles,
-            mlc_full_ways=simulator.design.mlc_assoc,
-            benchmark=result.benchmark,
-            design=result.design,
-            dropped=tracer.dropped,
-        )
-
-    def value(self) -> dict:
-        return self.data
-
-
-@dataclass(frozen=True)
-class MetricsProbe(ProbeSpec):
-    """Metrics-registry snapshot plus a windowed-IPC histogram.
-
-    Requires ``obs_level`` of at least ``metrics`` (the engine raises the
-    job's effective level automatically).  Windows are cut at the same
-    instruction boundaries as :class:`IPCSeriesProbe`, and the trailing
-    partial window follows the shared :func:`include_trailing_window`
-    rule, so for equal ``sample_instructions`` the histogram's ``count``
-    always equals the IPC series' length.
-    """
-
-    sample_instructions: int = 100_000
-
-    def __post_init__(self) -> None:
-        if self.sample_instructions < 1:
-            raise ValueError("sample_instructions must be >= 1")
-
-    @property
-    def name(self) -> str:
-        return "metrics"
-
-    def build(self) -> "_MetricsState":
-        return _MetricsState(self.sample_instructions)
-
-
-class _MetricsState(ProbeState):
-    __slots__ = (
-        "sample_instructions",
-        "_hist",
-        "_last_cycles",
-        "_last_instr",
-        "_boundary",
-        "data",
-    )
-
-    name = "metrics"
-
-    def __init__(self, sample_instructions: int) -> None:
-        from repro.obs.metrics import Histogram
-
-        self.sample_instructions = sample_instructions
-        self._hist = Histogram()
-        self._last_cycles = 0.0
-        self._last_instr = 0
-        self._boundary = sample_instructions
-        self.data: dict = {}
-
-    def on_block(self, block_exec, cycles: float, instructions: int) -> None:
-        if instructions >= self._boundary:
-            delta_c = cycles - self._last_cycles
-            delta_i = instructions - self._last_instr
-            self._hist.observe(delta_i / delta_c if delta_c else 0.0)
-            self._last_cycles = cycles
-            self._last_instr = instructions
-            self._boundary += self.sample_instructions
-
-    def finish(self, simulator, result) -> None:
-        delta_i = result.instructions - self._last_instr
-        if include_trailing_window(delta_i, self.sample_instructions):
-            delta_c = simulator.cycles - self._last_cycles
-            self._hist.observe(delta_i / delta_c if delta_c else 0.0)
-        self.data = {
-            "snapshot": dict(result.metrics),
-            "windowed_ipc": self._hist.to_dict(),
-        }
-
-    def value(self) -> dict:
-        return self.data

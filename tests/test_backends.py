@@ -374,7 +374,7 @@ def test_vectorized_timeout_mode_delegates_to_fastpath():
 
 
 def test_vectorized_probe_runs_delegate_to_reference():
-    from repro.sim.probes import MetricsProbe
+    from repro.sim.probes import IPCSeriesProbe
 
     ref_sim, ref = _run("bzip2", GatingMode.POWERCHOP, "reference")
     profile = get_profile("bzip2")
@@ -385,10 +385,11 @@ def test_vectorized_probe_runs_delegate_to_reference():
         powerchop_config=_QUICK,
         backend="vectorized",
     )
-    probe = MetricsProbe().build()
+    probe = IPCSeriesProbe(sample_instructions=20_000).build()
     result = sim.run(120_000, probes=(probe,))
     assert result.to_dict() == ref.to_dict()
     assert sim.fastpath_state.bursts_recorded == 0  # reference loop ran
+    assert probe.value()  # and delivered the per-block callbacks
 
 
 def test_walk_table_is_memoized_per_region():

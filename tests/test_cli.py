@@ -1,9 +1,14 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.__main__ import main
 from repro.sim.results import SimulationResult
 
@@ -94,3 +99,23 @@ class TestThresholdPresets:
         aggressive = CriticalityThresholds.aggressive()
         assert conservative.vpu < default.vpu < aggressive.vpu
         assert conservative.mlc_high < default.mlc_high < aggressive.mlc_high
+
+
+def test_run_on_default_backend_never_imports_numpy():
+    # A fresh interpreter: this test process has imported numpy already.
+    # Only the vectorized backend needs it, so a default-backend run with
+    # the cache off (the simulation really runs) must not load it.
+    code = (
+        "import sys\n"
+        "from repro.__main__ import main\n"
+        "assert main(['run', 'hmmer', '-n', '20000', '--json']) == 0\n"
+        "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+    )
+    env = dict(
+        os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]), REPRO_CACHE="0"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["instructions"] >= 20_000

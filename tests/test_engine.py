@@ -18,7 +18,7 @@ from repro.sim.engine import (
     execute_job,
     run_job,
 )
-from repro.sim.probes import IPCSeriesProbe, PhaseLogProbe, UnitActivityProbe
+from repro.sim.probes import IPCSeriesProbe
 from repro.sim.results import SimulationResult
 from repro.sim.simulator import GatingMode, HybridSimulator
 from repro.uarch.config import MOBILE, SERVER, design_for_suite
@@ -513,7 +513,7 @@ class TestProbes:
         legacy = _legacy_timeseries_ipc(
             design, profile, keep_default, 400_000, 50_000
         )
-        probed = timeseries_ipc(design, profile, keep_default, 400_000, 50_000)
+        probed = timeseries_ipc(bench_name, 400_000, 50_000)
         assert legacy, "legacy loop produced samples"
         assert probed[: len(legacy)] == legacy  # bit-identical prefix
         assert len(probed) - len(legacy) <= 1  # plus at most the tail sample
@@ -531,7 +531,7 @@ class TestProbes:
         legacy = _legacy_timeseries_ipc(
             SERVER, profile, keep_default, 130_000, 50_000
         )
-        probed = timeseries_ipc(SERVER, profile, keep_default, 130_000, 50_000)
+        probed = timeseries_ipc("hmmer", 130_000, 50_000)
         assert len(legacy) == 2
         assert len(probed) == 3
         assert probed[:2] == legacy
@@ -542,32 +542,31 @@ class TestProbes:
             benchmark="hmmer",
             mode=GatingMode.POWERCHOP,
             max_instructions=80_000,
-            probes=(IPCSeriesProbe(sample_instructions=20_000), PhaseLogProbe()),
+            collect_phase_log=True,
+            probes=(IPCSeriesProbe(sample_instructions=20_000),),
         )
         cache = ResultCache()
         record = run_job(job, cache=cache)
         assert len(record.probes["ipc_series"]) >= 3
-        assert record.probes["phase_log"]  # collect_phase_vectors auto-enabled
+        assert record.phase_log  # collect_phase_vectors enabled
         engine.clear_memo()
         warm = run_job(job, cache=ResultCache())
         assert warm.from_cache
         assert warm.probes["ipc_series"] == record.probes["ipc_series"]
+        assert warm.phase_log == record.phase_log
 
-    def test_unit_activity_probe_samples_windows(self):
-        config = PowerChopConfig(window_size=200, warmup_windows=2)
-        job = SimJob(
-            benchmark="hmmer",
-            mode=GatingMode.POWERCHOP,
-            powerchop_config=config,
-            max_instructions=120_000,
-            probes=(UnitActivityProbe(),),
-        )
-        record = execute_job(job)
-        samples = record.probes["unit_activity"]
-        assert len(samples) == record.result.windows
-        cycles = [sample[0] for sample in samples]
-        assert cycles == sorted(cycles)
-        assert all(sample[3] >= 1 for sample in samples)
+    def test_timeseries_served_from_memo(self, monkeypatch):
+        from repro.experiments import fig03_mlc_phases
+
+        first = fig03_mlc_phases.ipc_series(max_instructions=200_000)
+
+        def no_new_simulators(*args, **kwargs):
+            raise AssertionError("memoised series built a simulator")
+
+        monkeypatch.setattr(HybridSimulator, "__init__", no_new_simulators)
+        second = fig03_mlc_phases.ipc_series(max_instructions=200_000)
+        assert second == first
+        assert all(first)  # both series are non-empty
 
     def test_probe_set_changes_job_key(self):
         plain = SimJob(benchmark="hmmer", max_instructions=50_000)

@@ -1,13 +1,9 @@
-"""Remaining-path coverage: seeds, phase streams, replay under gating."""
-
-import io
+"""Remaining-path coverage: seeds, phase streams, memory-behaviour edges."""
 
 from repro.sim.simulator import GatingMode, run_simulation
 from repro.uarch.config import SERVER
-from repro.uarch.core import CoreModel
 from repro.workloads.generator import MemoryBehavior
 from repro.workloads.profiles import build_workload
-from repro.workloads.trace_io import export_trace, load_trace, replay_through_core
 
 
 class TestSeedOverrides:
@@ -40,33 +36,6 @@ class TestPhaseStreams:
         s0 = phases[0].address_stream(0, 1)
         s1 = phases[1].address_stream(1, 1)
         assert s0.base != s1.base
-
-
-class TestReplayUnderGating:
-    def _trace(self, tiny_profile):
-        workload = build_workload(tiny_profile)
-        buffer = io.StringIO()
-        export_trace(workload, buffer, max_instructions=30_000)
-        buffer.seek(0)
-        return load_trace(buffer)
-
-    def test_gated_replay_differs_from_full(self, tiny_profile):
-        trace = self._trace(tiny_profile)
-        full_core = CoreModel(SERVER)
-        full_cycles = replay_through_core(trace, full_core)
-
-        trace2 = self._trace(tiny_profile)
-        gated_core = CoreModel(SERVER)
-        gated_core.apply_vpu_state(False)
-        gated_core.apply_mlc_state(1)
-        gated_cycles = replay_through_core(trace2, gated_core)
-        assert gated_cycles > full_cycles
-
-    def test_replay_counts_instructions(self, tiny_profile):
-        trace = self._trace(tiny_profile)
-        core = CoreModel(SERVER)
-        replay_through_core(trace, core)
-        assert core.counters.instructions == trace.total_instructions
 
 
 class TestMemoryBehaviorEdge:

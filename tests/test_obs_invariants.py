@@ -7,8 +7,7 @@
   energy accountant charges the VPU zero dynamic energy for it (dynamic
   VPU energy is exactly ``native_ops x op_energy``).
 - Metrics-registry totals agree with the event stream.
-- Windowed probes sharing ``sample_instructions`` cut identical windows
-  (the ``include_trailing_window`` flush rule).
+- The ``include_trailing_window`` flush rule for windowed IPC samples.
 """
 
 from collections import defaultdict
@@ -16,7 +15,7 @@ from collections import defaultdict
 import pytest
 
 from repro.obs.events import EventKind
-from repro.sim.probes import IPCSeriesProbe, MetricsProbe, include_trailing_window
+from repro.sim.probes import include_trailing_window
 from repro.sim.simulator import GatingMode, HybridSimulator
 from repro.uarch.config import SERVER
 from repro.workloads.profiles import build_workload
@@ -151,25 +150,3 @@ class TestWindowAgreement:
         assert include_trailing_window(50, 100)  # exactly half: included
         assert include_trailing_window(99, 100)
         assert not include_trailing_window(-5, 100)
-
-    @pytest.mark.parametrize("budget", [60_000, 110_000, 150_000])
-    def test_probe_window_counts_agree(self, tiny_profile, budget):
-        """IPCSeriesProbe and MetricsProbe cut identical windows."""
-        sample = 20_000
-        ipc_probe = IPCSeriesProbe(sample_instructions=sample)
-        metrics_probe = MetricsProbe(sample_instructions=sample)
-        simulator = HybridSimulator(
-            SERVER,
-            build_workload(tiny_profile),
-            GatingMode.FULL,
-            obs_level="metrics",
-        )
-        states = (ipc_probe.build(), metrics_probe.build())
-        simulator.run(budget, probes=states)
-        series = states[0].value()
-        hist = states[1].value()["windowed_ipc"]
-        assert hist["count"] == len(series)
-        assert hist["sum"] == pytest.approx(sum(series))
-        if series:
-            assert hist["min"] == pytest.approx(min(series))
-            assert hist["max"] == pytest.approx(max(series))

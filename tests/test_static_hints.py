@@ -11,7 +11,6 @@ import pytest
 
 from repro.core.cde import CriticalityDecisionEngine, WindowStats
 from repro.core.config import PowerChopConfig
-from repro.sim.probes import StaticHintsProbe
 from repro.sim.simulator import GatingMode, HybridSimulator
 from repro.staticcheck import StaticHints, build_hints, summarize_region
 from repro.uarch.config import SERVER, design_for_suite
@@ -152,7 +151,8 @@ class TestCDEWithHints:
         assert cde.hints is None
 
 
-def run_once(benchmark, *, hints, n=600_000, probe=True):
+def run_once(benchmark, *, hints, n=600_000):
+    """One POWERCHOP run plus the CDE's static pre-pass state after it."""
     profile = get_profile(benchmark)
     config = PowerChopConfig(use_static_hints=hints)
     simulator = HybridSimulator(
@@ -161,9 +161,18 @@ def run_once(benchmark, *, hints, n=600_000, probe=True):
         GatingMode.POWERCHOP,
         powerchop_config=config,
     )
-    state = StaticHintsProbe().build()
-    result = simulator.run(n, probes=[state] if probe else ())
-    return result, state.value()
+    result = simulator.run(n)
+    cde = simulator.controller.cde
+    data = {
+        "enabled": cde.hints is not None,
+        "vpu_dead_regions": sorted(cde.hints.vpu_dead_regions)
+        if cde.hints is not None
+        else [],
+        "static_vpu_phases": cde.static_vpu_phases,
+        "vpu_windows_skipped": cde.static_vpu_windows_skipped,
+        "decided_policies": list(cde.decided_policies()),
+    }
+    return result, data
 
 
 class TestEndToEnd:
