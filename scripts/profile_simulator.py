@@ -2,25 +2,24 @@
 """Developer utility: profile the simulator's hot loop.
 
 Prints simulation throughput (guest instructions per second) per gating
-mode and, with ``--cprofile``, the top functions by cumulative time.  Used
-to keep the full 29-app benchmark suite within its time budget.
+mode and, with ``--cprofile``, the top functions by cumulative time.
+:func:`throughput` is also the timer behind ``scripts/check_speedup.py``.
 
 Usage:
     python scripts/profile_simulator.py [benchmark] [instructions]
         [--cprofile] [--json] [--backend NAME] [--breakdown]
 
-``--json`` emits ``{"mode": instr_per_second, ...}`` on stdout (for
-scripts/bench_throughput.py and the CI perf-smoke job); ``--backend``
-selects the execution backend (reference / fastpath / vectorized).
+``--backend`` selects the execution backend (reference / fastpath /
+vectorized; default fastpath).  ``--json`` prints
+``{"mode": instr_per_second, ...}`` instead of the table.
 
-``--breakdown`` runs one extra POWERCHOP simulation and reports where its
+``--breakdown`` (``--backend vectorized`` only: the other loops keep no
+pass split) runs one extra POWERCHOP simulation and reports where its
 wall-clock went: pass A (the recording walk), pass B (the array flush
 kernels), and scalar (window-boundary blocks executed out of line), each
 timed directly, plus the number of flushed bursts and their mean length in
-blocks (bursts are capped at the vectorized backend's ``_BURST_BLOCKS``).  With
-``--json`` the output becomes ``{"rates": ..., "breakdown": ...}`` — the
-flat shape is kept whenever ``--breakdown`` is absent, so existing
-consumers are unaffected.
+blocks (bursts are capped at the vectorized backend's ``_BURST_BLOCKS``).
+With ``--json`` the output becomes ``{"rates": ..., "breakdown": ...}``.
 """
 
 from __future__ import annotations
@@ -73,6 +72,8 @@ def main() -> None:
         "pass B flushes / scalar boundary blocks) from one POWERCHOP run",
     )
     args = parser.parse_args()
+    if args.breakdown and args.backend != "vectorized":
+        parser.error("--breakdown needs --backend vectorized")
 
     rates = {}
     for mode in (GatingMode.FULL, GatingMode.POWERCHOP, GatingMode.MINIMAL):

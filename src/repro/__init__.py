@@ -45,7 +45,7 @@ from repro.sim import (
     run_simulation,
     slowdown,
 )
-from repro.staticcheck import StaticHints, analyze_profile, build_hints
+from repro.staticcheck import analyze_profile
 from repro.uarch import MOBILE, SERVER, DesignPoint, design_by_name
 from repro.uarch.config import design_for_suite
 from repro.workloads import (
@@ -75,8 +75,6 @@ __all__ = [
     "run_job",
     "run_jobs",
     "IPCSeriesProbe",
-    "StaticHints",
-    "build_hints",
     "analyze_profile",
     "slowdown",
     "power_reduction",

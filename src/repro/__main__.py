@@ -9,9 +9,7 @@ Commands:
 - ``designs``     — print the two Table I design points.
 - ``staticcheck`` — static-analysis report (CFG verification + dataflow
   summaries) over workload profiles; exits non-zero on errors (or, with
-  ``--strict``, warnings).  ``--prove`` adds the proof pass: every profile
-  either certifies (region determinism, stream slot-disjointness, idle
-  window safety) or reports exactly why each region does not.
+  ``--strict``, warnings).
 - ``trace``       — run one benchmark with full observability and write a
   Chrome ``trace_event`` JSON (load it at https://ui.perfetto.dev), plus
   an optional per-unit gating timeline (``--timeline``).
@@ -45,9 +43,10 @@ from repro.uarch.config import design_by_name, design_for_suite
 from repro.workloads.suites import ALL_BENCHMARKS, get_profile
 
 #: Version of the ``staticcheck --json`` payload shape.  Bump when keys
-#: move, disappear or change meaning; additive keys (like ``proofs``) don't
-#: require a bump, and consumers should pin on this rather than sniffing
-#: keys.  v2: ``proofs`` entries lost ``content_hash``.
+#: move, disappear or change meaning; a new key added alongside the others
+#: doesn't require a bump, and consumers should pin on this rather than
+#: sniffing keys.  v2: the entries of the since-removed proof report lost
+#: ``content_hash``.
 STATICCHECK_JSON_SCHEMA = 2
 
 
@@ -303,23 +302,6 @@ def cmd_staticcheck(args) -> int:
     n_warnings = sum(a.n_warnings for a in analyses)
     failed = n_errors > 0 or (args.strict and n_warnings > 0)
 
-    reports = []
-    if args.prove:
-        from repro.staticcheck.proofs import certify_workload
-
-        # The proof pass never *fails* a healthy profile: a certificate
-        # always materializes, and a region that cannot be proved
-        # deterministic carries the precise reasons instead.  An exception
-        # here means the profile is structurally broken — that is an error
-        # even without --strict.
-        for name in names:
-            try:
-                reports.append(certify_workload(get_profile(name)).report())
-            except Exception as exc:  # pragma: no cover - defensive
-                n_errors += 1
-                failed = True
-                reports.append({"benchmark": name, "error": str(exc)})
-
     if args.json:
         payload = {
             "schema_version": STATICCHECK_JSON_SCHEMA,
@@ -328,8 +310,6 @@ def cmd_staticcheck(args) -> int:
             "warnings": n_warnings,
             "ok": not failed,
         }
-        if args.prove:
-            payload["proofs"] = reports
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 1 if failed else 0
 
@@ -343,29 +323,6 @@ def cmd_staticcheck(args) -> int:
         f"{n_errors} error(s), {n_warnings} warning(s), {infos} note(s); "
         f"{vpu_dead} region(s) statically VPU-dead"
     )
-    if args.prove:
-        for rep in reports:
-            if "error" in rep:
-                print(f"  proof {rep['benchmark']}: FAILED ({rep['error']})")
-                continue
-            det = rep["deterministic_regions"]
-            why = rep["non_deterministic_reasons"]
-            detail = (
-                f"deterministic phases: {', '.join(rep['deterministic_phases'])}"
-                if det
-                else "no deterministic region ("
-                + "; ".join(
-                    f"{phase}: {len(rs)} non-closed-form branch(es)"
-                    for phase, rs in sorted(why.items())
-                )
-                + "; full reasons in --json)"
-            )
-            print(
-                f"  proof {rep['benchmark']}: {det}/{rep['regions']} region(s) "
-                f"deterministic, stream "
-                f"{'slotted' if rep['stream_slotted'] else 'unslotted'}, "
-                f"window head bound {rep['window_head_bound']}; {detail}"
-            )
     return 1 if failed else 0
 
 
@@ -553,13 +510,6 @@ def main(argv=None) -> int:
         "--json",
         action="store_true",
         help="emit the full machine-readable report",
-    )
-    static_parser.add_argument(
-        "--prove",
-        action="store_true",
-        help="also run the proof pass: each profile certifies (region "
-        "determinism, stream slot-disjointness, window safety) or reports "
-        "why each region is not deterministic",
     )
     static_parser.set_defaults(func=cmd_staticcheck)
 

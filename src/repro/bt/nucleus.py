@@ -9,10 +9,7 @@ interrupt class and dispatches to registered handlers.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Optional
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.staticcheck.hints import StaticHints
+from typing import Callable, Dict
 
 
 class Nucleus:
@@ -23,11 +20,6 @@ class Nucleus:
         self._costs: Dict[str, float] = {}
         self.counts: Dict[str, int] = {}
         self.cycles: float = 0.0
-        #: Execution context published to interrupt handlers.  The BT
-        #: runtime attaches the workload's static-analysis facts here so
-        #: the CDE — entered via the ``pvt_miss`` interrupt — can consult
-        #: them without a side channel around the interrupt path.
-        self.static_hints: Optional["StaticHints"] = None
 
     def register(
         self, kind: str, handler: Callable[..., float], entry_cost_cycles: float

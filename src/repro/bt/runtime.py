@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from enum import Enum
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.bt.interpreter import Interpreter
 from repro.bt.nucleus import Nucleus
@@ -13,9 +13,6 @@ from repro.isa.blocks import BasicBlock, CodeRegion
 from repro.obs.events import EventKind
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.uarch.config import DesignPoint
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.staticcheck.hints import StaticHints
 
 
 class ExecMode(Enum):
@@ -39,20 +36,15 @@ class BTRuntime:
         self,
         design: DesignPoint,
         regions: Dict[int, CodeRegion],
-        static_hints: Optional["StaticHints"] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.design = design
         self.regions = dict(regions)
-        self.static_hints = static_hints
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.region_cache = RegionCache()
         self.interpreter = Interpreter(design.hot_threshold)
-        self.translator = Translator(
-            design.max_translation_blocks, static_hints=static_hints
-        )
+        self.translator = Translator(design.max_translation_blocks)
         self.nucleus = Nucleus()
-        self.nucleus.static_hints = static_hints
         self._current: Optional[Translation] = None
         self._pos = 0
         self.translation_cycles = 0.0

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
-
 from repro.bt.region_cache import Translation
 from repro.isa.blocks import BasicBlock, CodeRegion
 from repro.isa.branches import (
@@ -13,9 +11,6 @@ from repro.isa.branches import (
     LoopBranch,
     PatternBranch,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.staticcheck.hints import StaticHints
 
 
 def likely_taken(model: BranchModel) -> bool:
@@ -50,15 +45,10 @@ class Translator:
     off.
     """
 
-    def __init__(
-        self, max_blocks: int = 6, static_hints: Optional["StaticHints"] = None
-    ) -> None:
+    def __init__(self, max_blocks: int = 6) -> None:
         if max_blocks < 1:
             raise ValueError("max_blocks must be >= 1")
         self.max_blocks = max_blocks
-        #: When the static pre-pass is active, every built translation is
-        #: noted so its ID can later vouch (or not) for a phase signature.
-        self.static_hints = static_hints
         self.translations_built = 0
         self.instructions_translated = 0
 
@@ -90,6 +80,4 @@ class Translator:
         )
         self.translations_built += 1
         self.instructions_translated += translation.n_instr
-        if self.static_hints is not None:
-            self.static_hints.note_translation(translation)
         return translation

@@ -20,7 +20,7 @@ window executed on the small predictor to obtain ``MisPred_Small``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import PowerChopConfig
 from repro.core.criticality import (
@@ -35,9 +35,6 @@ from repro.core.signature import PhaseSignature
 from repro.obs.events import EventKind
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.uarch.config import DesignPoint
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from repro.staticcheck.hints import StaticHints
 
 
 @dataclass(frozen=True)
@@ -77,9 +74,6 @@ class _ProfileProgress:
     #: Set when a window measured at gated ways showed real MLC demand, so
     #: an honest hit-rate measurement needs the ways restored.
     mlc_needs_full: bool = False
-    #: Set when the static pre-pass proved the phase VPU-dead: the VPU score
-    #: is pinned at 0.0 and measurement windows run with the VPU gated.
-    static_vpu: bool = False
 
 
 class CriticalityDecisionEngine:
@@ -89,20 +83,11 @@ class CriticalityDecisionEngine:
         self,
         config: PowerChopConfig,
         design: DesignPoint,
-        static_hints: Optional["StaticHints"] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.config = config
         self.design = design
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: Static-analysis pre-pass facts; only honoured when the config
-        #: opts in *and* the CDE is allowed to manage the VPU (per-unit
-        #: isolation studies must not see the VPU gated by a hint).
-        self.hints = (
-            static_hints
-            if config.use_static_hints and "vpu" in config.managed_units
-            else None
-        )
         #: The CDE's in-memory store of characterised phases (backs the PVT).
         self._known: Dict[PhaseSignature, PolicyVector] = {}
         self._profiles: Dict[PhaseSignature, _ProfileProgress] = {}
@@ -116,11 +101,6 @@ class CriticalityDecisionEngine:
         self.policies_assigned = 0
         self.unprofileable_phases = 0
         self.inherited_policies = 0
-        #: Phases whose VPU score came from the static pre-pass, and the
-        #: profiling windows that consequently ran with the VPU gated when
-        #: dynamic-only profiling would have kept it powered.
-        self.static_vpu_phases = 0
-        self.static_vpu_windows_skipped = 0
 
     # ------------------------------------------------------------- queries
 
@@ -179,14 +159,6 @@ class CriticalityDecisionEngine:
                 self._note_decision(signature, inherited, "inherited")
                 return "register", inherited
             progress = _ProfileProgress()
-            if self.hints is not None and self.hints.signature_vpu_dead(signature):
-                # Static pre-pass (ahead-of-execution proof): every
-                # translation in this signature comes from a region that
-                # issues zero reachable vector ops, so the SIMD commit
-                # ratio is zero without measuring it.
-                progress.vpu_score = 0.0
-                progress.static_vpu = True
-                self.static_vpu_phases += 1
             self._profiles[signature] = progress
             self.new_phases += 1
         progress.attempts += 1
@@ -233,15 +205,7 @@ class CriticalityDecisionEngine:
             mlc_ways = base.mlc_ways
         else:
             mlc_ways = current_mlc_ways
-        vpu_on = current_vpu_on
-        if progress.static_vpu:
-            # The pre-pass proved the phase VPU-dead, so this profiling
-            # window need not burn VPU power: gate it immediately instead
-            # of waiting for the measured policy.
-            if current_vpu_on:
-                self.static_vpu_windows_skipped += 1
-            vpu_on = False
-        return PolicyVector(vpu_on=vpu_on, bpu_on=bpu_on, mlc_ways=mlc_ways)
+        return PolicyVector(vpu_on=current_vpu_on, bpu_on=bpu_on, mlc_ways=mlc_ways)
 
     def feed_profile_window(
         self, signature: PhaseSignature, stats: WindowStats
@@ -258,10 +222,9 @@ class CriticalityDecisionEngine:
         progress.windows_collected += 1
 
         if stats.bpu_large_active:
-            if not progress.static_vpu:
-                progress.vpu_score = vpu_criticality(
-                    stats.simd_instructions, stats.instructions
-                )
+            progress.vpu_score = vpu_criticality(
+                stats.simd_instructions, stats.instructions
+            )
             progress.mispred_large = stats.mispredict_rate
         else:
             progress.mispred_small = stats.mispredict_rate

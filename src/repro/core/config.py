@@ -47,13 +47,6 @@ class PowerChopConfig:
     #: Collect per-window translation vectors for the Fig. 8 phase-quality
     #: analysis (costs memory; off by default).
     collect_phase_vectors: bool = False
-    #: Consult the static-analysis pre-pass (repro.staticcheck): when every
-    #: translation in a new phase's signature comes from a region statically
-    #: proven to issue zero vector ops, the CDE skips the VPU measurement
-    #: and gates the VPU for the profiling windows themselves.  Off by
-    #: default — the paper's CDE is purely dynamic — so runs are A/B
-    #: comparable via the sweep engine.
-    use_static_hints: bool = False
 
     def __post_init__(self) -> None:
         if self.window_size < 1:

@@ -50,15 +50,7 @@ class PowerChopController:
             config.htb_entries, config.window_size, tracer=self.tracer
         )
         self.pvt = PolicyVectorTable(config.pvt_entries, tracer=self.tracer)
-        # The BT runtime publishes the workload's static-analysis facts on
-        # the nucleus (the CDE's entry path); the CDE itself decides whether
-        # the config lets it honour them.
-        self.cde = CriticalityDecisionEngine(
-            config,
-            design,
-            static_hints=getattr(nucleus, "static_hints", None),
-            tracer=self.tracer,
-        )
+        self.cde = CriticalityDecisionEngine(config, design, tracer=self.tracer)
 
         #: Signature of the phase the previous window observed (trace-only
         #: state backing the PhaseEnter/Exit events).
@@ -283,21 +275,8 @@ class PowerChopController:
         if listener is not None:
             listener.note_policy_action()
 
-        if payload.vpu_on != core.states.vpu_on:
-            # Only the static pre-pass arms a measurement window with the
-            # VPU in a different state (gated, for a statically VPU-dead
-            # phase); powering *down* needs no warmup window.
-            cost = design.vpu_switch_cycles + design.vpu_save_restore_cycles
-            cycles += cost
-            was_on = core.states.vpu_on
-            core.apply_vpu_state(payload.vpu_on)
-            if self.accountant is not None:
-                self.accountant.on_switch("vpu", payload.vpu_on, now_cycles)
-            if self.tracer.active:
-                self._trace_switch(
-                    "vpu", was_on, payload.vpu_on, cost, now_cycles, arm=True
-                )
-
+        # The CDE leaves the VPU as it is while measuring (see
+        # CriticalityDecisionEngine._measurement_states).
         core.bpu.force_small = not payload.bpu_on
         if payload.bpu_on and not core.states.bpu_large_on:
             cycles += design.bpu_switch_cycles

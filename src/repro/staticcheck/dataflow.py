@@ -7,7 +7,7 @@ computes, per region:
 - the reachable block set and its static instruction/vector-op totals —
   ``static_vector_ops == 0`` is a *proof* that the region can never issue a
   vector instruction, making the VPU trivially non-critical for every phase
-  confined to the region (the fact :mod:`repro.staticcheck.hints` exports);
+  confined to the region (reported as ``vpu_dead``);
 - estimated steady-state block visit frequencies, via damped fixpoint
   iteration over the CFG's edge probabilities (each
   :class:`~repro.isa.branches.BranchModel` exposes a static taken

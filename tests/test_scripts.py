@@ -3,6 +3,8 @@
 import runpy
 import sys
 
+import pytest
+
 
 class TestProfileSimulator:
     def test_throughput_helper(self):
@@ -24,6 +26,74 @@ class TestProfileSimulator:
         out = capsys.readouterr().out
         assert "guest-instructions/s" in out
         assert "powerchop" in out
+
+    def test_breakdown_needs_vectorized_backend(self, monkeypatch, capsys):
+        # reference keeps no FastPathState and fastpath no pass split, so
+        # --breakdown on either is an argparse error, not a crash or zeros.
+        for backend in ("reference", "fastpath"):
+            monkeypatch.setattr(
+                sys,
+                "argv",
+                ["profile_simulator.py", "hmmer", "20000",
+                 "--backend", backend, "--breakdown"],
+            )
+            with pytest.raises(SystemExit) as exc:
+                runpy.run_path("scripts/profile_simulator.py", run_name="__main__")
+            assert exc.value.code == 2
+            assert "--breakdown needs --backend vectorized" in capsys.readouterr().err
+
+
+class TestCheckSpeedup:
+    def _gate(self):
+        sys.path.insert(0, "scripts")
+        try:
+            import check_speedup
+        finally:
+            sys.path.pop(0)
+        return check_speedup
+
+    @staticmethod
+    def _rates(fastpath=1.0, vectorized=1.0, milc_vec_over_fast=None):
+        """One round per cell, shaped like a measured run, with the
+        fastpath and vectorized rates scaled by the given factors."""
+        shape = {"gobmk": (1.9, 2.3), "bzip2": (1.95, 2.5), "milc": (2.15, 4.2)}
+        rates = {}
+        for profile, (fast, vec) in shape.items():
+            if profile == "milc" and milc_vec_over_fast is not None:
+                fast, vec = 2.6, 2.6 * milc_vec_over_fast
+            round_ = {
+                "reference": 1e6,
+                "fastpath": fast * 1e6 * fastpath,
+                "vectorized": vec * 1e6 * vectorized,
+            }
+            rates[profile] = {m: [round_] for m in ("full", "powerchop", "minimal")}
+        return rates
+
+    def test_measured_shape_passes(self):
+        assert self._gate().failures(self._rates()) == []
+
+    def test_thirty_percent_slower_fastpath_fails(self):
+        missed = self._gate().failures(self._rates(fastpath=0.7))
+        assert "gobmk: fastpath/reference 1.33x < floor 1.60x" in missed
+        assert not any("vectorized" in line for line in missed)
+
+    def test_thirty_percent_slower_vectorized_fails(self):
+        missed = self._gate().failures(self._rates(vectorized=0.7))
+        assert "gobmk: vectorized/reference 1.61x < floor 1.95x" in missed
+        assert not any("fastpath/reference" in line for line in missed)
+
+    def test_milc_vectorized_over_fastpath_floor(self):
+        gate = self._gate()
+        assert gate.failures(self._rates(milc_vec_over_fast=1.6)) == []
+        assert gate.failures(self._rates(milc_vec_over_fast=1.4)) == [
+            "milc: best-mode vectorized/fastpath 1.40x < floor 1.50x"
+        ]
+
+    def test_cell_ratio_is_the_median_round(self):
+        rounds = [
+            {"reference": 1.0, "fastpath": r} for r in (2.0, 0.5, 2.2)
+        ]
+        assert self._gate().cell_ratio(rounds, "fastpath", "reference") == 2.0
 
 
 class TestDeterminismLint:

@@ -260,32 +260,3 @@ class TestCLI:
             "warnings",
             "ok",
         }
-
-    def test_prove_reports_certificates(self, capsys):
-        assert main(["staticcheck", "-w", "bzip2", "--prove", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["ok"] is True
-        (report,) = payload["proofs"]
-        assert set(report) == {
-            "benchmark",
-            "suite",
-            "seed",
-            "regions",
-            "deterministic_regions",
-            "deterministic_phases",
-            "non_deterministic_reasons",
-            "stream_slotted",
-            "window_head_bound",
-        }
-        assert report["benchmark"] == "bzip2"
-        assert report["regions"] > 0
-        assert report["deterministic_regions"] == 0
-        assert len(report["non_deterministic_reasons"]) == report["regions"]
-        assert all(report["non_deterministic_reasons"].values())
-        assert report["stream_slotted"] is True
-
-    def test_prove_human_output_condenses_reasons(self, capsys):
-        assert main(["staticcheck", "-w", "gobmk", "--prove"]) == 0
-        out = capsys.readouterr().out
-        assert "non-closed-form branch(es)" in out
-        assert "--json" in out
